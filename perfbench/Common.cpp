@@ -11,13 +11,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory_resource>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
 
+#include <sys/mman.h>
 #include <sys/statfs.h>
+#include <unistd.h>
 
 namespace perfbench {
 
@@ -128,49 +132,77 @@ std::string filesystemType(const std::string &Path) {
   }
 }
 
-namespace {
-
-double allocChurnMs() {
+double calibrationMs() {
   // Allocation churn, the cost that dominates interpreted MATLAB here
-  // (values, AST nodes, frames). No mvec code runs.
+  // (values, AST nodes, frames), served by a pool of the benchmark's own
+  // over a private arena mapped once: no malloc state is shared with the
+  // program, and the churn's footprint stays in the near caches.
+  static void *const Arena = [] {
+    void *P = ::mmap(nullptr, ArenaBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      std::abort();
+    // Touched whole, so its resident size is exactly ArenaBytes.
+    std::memset(P, 0, ArenaBytes);
+    return P;
+  }();
+  std::pmr::monotonic_buffer_resource Upstream(
+      Arena, ArenaBytes, std::pmr::null_memory_resource());
+  std::pmr::unsynchronized_pool_resource Pool(&Upstream);
+  constexpr int Blocks = 2000;
+  void *Ptr[Blocks];
   Clock::time_point T0 = Clock::now();
-  std::vector<void *> Blocks;
-  Blocks.reserve(2000);
   for (int Round = 0; Round != 20; ++Round) {
-    for (int I = 0; I != 2000; ++I)
-      Blocks.push_back(std::malloc(16 + (I * 37) % 400));
-    for (void *B : Blocks)
-      std::free(B);
-    Blocks.clear();
+    for (int I = 0; I != Blocks; ++I)
+      Ptr[I] = Pool.allocate(16 + (I * 37) % 400);
+    for (int I = 0; I != Blocks; ++I)
+      Pool.deallocate(Ptr[I], 16 + (I * 37) % 400);
   }
   return msBetween(T0, Clock::now());
 }
 
+double hostFactor() {
+  // One untimed run first: what ran before (the program) may have evicted
+  // the arena, and that must not move the factor.
+  calibrationMs();
+  std::vector<double> Ms;
+  for (int I = 0; I != 5; ++I)
+    Ms.push_back(calibrationMs());
+  return CalibrationReferenceMs / median(Ms);
+}
+
 double streamMs() {
-  // One pass over 16 MiB, beyond the last-level cache: the memory side
-  // that vectorized kernels lean on.
-  static const std::vector<double> Buf(size_t(2) << 20, 1.0);
+  constexpr size_t Words = StreamBytes / sizeof(double);
+  static double *const Buf = [] {
+    void *P = ::mmap(nullptr, StreamBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      std::abort();
+    auto *D = static_cast<double *>(P);
+    for (size_t I = 0; I != Words; ++I)
+      D[I] = 1.0;
+    return D;
+  }();
   Clock::time_point T0 = Clock::now();
   double Sum = 0;
-  for (double V : Buf)
-    Sum += V;
+  for (size_t I = 0; I != Words; ++I)
+    Sum += Buf[I];
   volatile double Sink = Sum;
   (void)Sink;
   return msBetween(T0, Clock::now());
 }
 
-} // namespace
-
-double hostFactor(int Samples) {
+double kernelHostFactor(double InterpFactor) {
+  streamMs();
   std::vector<double> Ms;
-  for (int I = 0; I < std::max(1, Samples); ++I)
-    Ms.push_back(allocChurnMs());
-  return AllocReferenceMs / median(Ms);
+  for (int I = 0; I != 5; ++I)
+    Ms.push_back(streamMs());
+  return 2 / (1 / InterpFactor + median(Ms) / StreamReferenceMs);
 }
 
-double kernelHostFactor() {
-  return 2 / (allocChurnMs() / AllocReferenceMs +
-              streamMs() / StreamReferenceMs);
+double ownPeakRssMb() {
+  return peakRssMb(::getpid()) -
+         static_cast<double>(ArenaBytes + StreamBytes) / (1 << 20);
 }
 
 void recordHost(Report &R, const Options &O) {
@@ -178,15 +210,15 @@ void recordHost(Report &R, const Options &O) {
   R.host("simd_level",
          jsonString(mvec::simd::levelName(mvec::simd::activeLevel())));
   R.host("store_fs", jsonString(filesystemType(O.Work)));
-  std::vector<double> Alloc, Stream;
-  for (int I = 0; I != 9; ++I) {
-    Alloc.push_back(allocChurnMs());
+  std::vector<double> Cal, Stream;
+  for (int I = 0; I != 15; ++I) {
+    Cal.push_back(calibrationMs());
     Stream.push_back(streamMs());
   }
-  R.host("calibration_ms", "{\"alloc\":" + formatDouble(median(Alloc)) +
+  R.host("calibration_ms", "{\"churn\":" + formatDouble(median(Cal)) +
+                               ",\"churn_reference\":" +
+                               formatDouble(CalibrationReferenceMs) +
                                ",\"stream\":" + formatDouble(median(Stream)) +
-                               ",\"alloc_reference\":" +
-                               formatDouble(AllocReferenceMs) +
                                ",\"stream_reference\":" +
                                formatDouble(StreamReferenceMs) + "}");
   R.host("workload", jsonString(O.Workload));

@@ -97,20 +97,39 @@ std::string filesystemType(const std::string &Path);
 /// Host-speed normalisation. The reference host (a 4-vCPU VM shared with
 /// other tenants) drifts, for seconds at a time, between an undisturbed
 /// state and contended ones where the interpreter runs up to 1.6x slower.
-/// Timings taken in this process are therefore scaled by a factor
-/// measured right beside them: raw * reference / calibration time now,
-/// with calibration workloads that contain no mvec code. Both commits of
-/// a comparison run the same calibration, so the scaling cancels host
-/// state, not program speed. The references are this host's undisturbed
-/// times. (Requests through mvecd stay raw: a calibration here does not
-/// track a multi-process server.)
-constexpr double AllocReferenceMs = 1.2;
-constexpr double StreamReferenceMs = 2.0;
-/// For interpreted work (loop code, compile stages):
-/// AllocReferenceMs over the median allocation-churn time.
-double hostFactor(int Samples = 1);
-/// For vectorized kernels: the allocation and streaming factors combined.
-double kernelHostFactor();
+/// Timings taken in this process are therefore also reported scaled by a
+/// factor measured right beside them: raw * reference / calibration time
+/// now. The calibration workload (calibrationMs) contains no mvec code and
+/// shares no heap or allocator state with it, so a change to the program,
+/// its heap layout included, does not move the factor; both commits of a
+/// comparison run the same calibration, so the scaling cancels host
+/// state, not program speed. The reference is this host's undisturbed
+/// calibration time. Raw figures are printed beside every normalised one.
+/// The daemon's boot is normalised the same way; requests through mvecd
+/// stay raw (a calibration here does not track a multi-process server).
+constexpr double CalibrationReferenceMs = 1.15;
+/// One run of the calibration workload, in ms: allocation churn (the
+/// interpreter's dominant cost) through a std::pmr pool over a private
+/// arena of ArenaBytes mapped outside the allocator.
+constexpr size_t ArenaBytes = size_t(4) << 20;
+double calibrationMs();
+/// CalibrationReferenceMs over the median of five calibration runs (after
+/// one untimed run). For interpreted work (loop code, compile stages).
+double hostFactor();
+/// One pass over a private buffer of StreamBytes, mapped outside the
+/// allocator: the memory side that vectorized kernels lean on, in ms. (A
+/// 4 MiB pass did not move with the host's contended phases; 16 MiB does.)
+constexpr size_t StreamBytes = size_t(16) << 20;
+constexpr double StreamReferenceMs = 1.4;
+double streamMs();
+/// For vectorized kernels, slowed less than interpreted code by the host's
+/// contended phases: the harmonic mean of \p InterpFactor (hostFactor())
+/// and StreamReferenceMs over the median of five streaming passes (after
+/// one untimed pass).
+double kernelHostFactor(double InterpFactor);
+/// Peak resident set of this process in MiB, less the calibration
+/// buffers (resident from start-up, the same on every run).
+double ownPeakRssMb();
 /// Fills the host fields shared by every workload.
 void recordHost(Report &R, const Options &O);
 

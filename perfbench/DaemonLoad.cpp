@@ -38,6 +38,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include <sched.h>
 #include <sys/prctl.h>
 
 using namespace mvec;
@@ -47,22 +48,11 @@ namespace perfbench {
 
 namespace {
 
-struct ScriptSet {
-  std::vector<Script> Scripts;
-  /// Candidates dropped because the service would not report them
-  /// succeeded (reason -> count). Inputs are chosen so no request fails.
-  std::vector<std::pair<std::string, unsigned>> Dropped;
-  uint64_t hash() const;
-};
-
 /// Checks \p Source the way a validating service job would and fills the
 /// expected body. False (with \p Why) when the job would not succeed.
 bool admitScript(const std::string &Source, std::string &Expected,
                  std::string &Why);
 
-/// cold-miss traffic: \p Count distinct scripts in send order, half fresh
-/// generator programs, half edited resubmits of recent earlier ones.
-ScriptSet coldScripts(uint64_t Seed, size_t Count);
 /// warm-hit population: generated scripts plus the repository's
 /// examples/matlab and corpus/ scripts under \p Root.
 ScriptSet warmScripts(uint64_t Seed, const std::string &Root);
@@ -80,9 +70,12 @@ private:
 };
 
 /// Open-loop arrival rates (requests/s): about a quarter of each
-/// workload's closed-loop throughput on the 4-core reference host. At half,
-/// the host's slow phases push the daemon near saturation, and latency then
-/// measures queueing on a contended host rather than mvec.
+/// workload's closed-loop throughput in a quiet phase of the 4-core
+/// reference host. At half, the host's contended phases (which cut
+/// warm-hit's capacity up to 3x) push the daemon into saturation; at an
+/// eighth, more requests find the vCPUs idle, and latency then measures
+/// the host's wake-ups (warm-hit p50 rose from about 0.12 to 0.19 ms and
+/// its spread doubled).
 constexpr double ColdOpenRate = 800;
 constexpr double WarmOpenRate = 5000;
 
@@ -351,10 +344,47 @@ LoadResult runLoad(const LoadSpec &Spec) {
   return Total;
 }
 
+/// Keeps every vCPU busy while mvecd is timed: one SCHED_IDLE thread per
+/// CPU, spinning. A woken thread pre-empts such a spinner at once, so the
+/// daemon's wake-ups cost an in-guest context switch instead of waking a
+/// halted vCPU through the hypervisor, whose latency follows the host's
+/// load (the idle=poll technique). On the reference host, over five seeds
+/// interleaved with and without, warm-hit's req_ms_p50 spread 0.08 with
+/// spinners and 0.34 without; throughput fell 4%.
+class IdleSpinners {
+public:
+  IdleSpinners() {
+    unsigned N = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned I = 0; I != N; ++I)
+      Threads.emplace_back([this] {
+        sched_param P{};
+        if (::sched_setscheduler(0, SCHED_IDLE, &P) != 0)
+          return; // never spin at normal priority
+        while (!Stop.load(std::memory_order_relaxed)) {
+#if defined(__x86_64__) || defined(__i386__)
+          __builtin_ia32_pause();
+#endif
+        }
+      });
+  }
+  ~IdleSpinners() {
+    Stop = true;
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  IdleSpinners(const IdleSpinners &) = delete;
+  IdleSpinners &operator=(const IdleSpinners &) = delete;
+
+private:
+  std::atomic<bool> Stop{false};
+  std::vector<std::thread> Threads;
+};
+
 /// One load phase run as a series of slices (step()), keeping per-slice
 /// figures so that a host stall moves one slice's figure instead of the
-/// run's. Request metrics are not host-normalised: a calibration in this
-/// process does not track a multi-process server.
+/// run's. Request metrics are not host-normalised: on the reference host
+/// neither the in-process calibration nor a 1-byte ping-pong between two
+/// processes tracked how its drift moves a multi-process server.
 struct SlicedLoad {
   LoadSpec Spec;
   LoadResult Total;
@@ -433,24 +463,29 @@ double servingRssMb(const MvecdProcess &D, const std::string &Stats) {
 }
 
 /// Whole-script KernelCases for loop_run_ms/vec_run_ms and the kernel
-/// probes: \p N of the fresh generated scripts of \p Set, drawn by seed
-/// (the repository scripts of warm-hit run for milliseconds and would
-/// swamp the geometric mean with whichever ones a seed draws).
+/// probes: up to \p N of the fresh generated scripts of \p Set, in a
+/// seed-drawn order (the repository scripts of warm-hit run for
+/// milliseconds and would swamp the geometric mean). warm-hit has fewer
+/// than \p N, so it times all of them: the figure then varies with the
+/// seed's population, not with which few scripts a seed happened to draw.
 std::vector<std::unique_ptr<KernelCase>>
 sampleCases(const ScriptSet &Set, uint64_t Seed, size_t N, Report &R) {
-  std::vector<std::unique_ptr<KernelCase>> Out;
+  std::vector<size_t> Order(Set.Scripts.size());
+  for (size_t I = 0; I != Order.size(); ++I)
+    Order[I] = I;
   fuzz::Rng Rng(fuzz::Rng::deriveSeed(Seed, 77));
-  std::vector<bool> Taken(Set.Scripts.size(), false);
-  for (size_t Tries = 0; Out.size() < N && Tries < 20 * N; ++Tries) {
-    size_t I = Rng.next() % Set.Scripts.size();
-    if (Taken[I] || Set.Scripts[I].Edited ||
-        Set.Scripts[I].Name.rfind("gen-", 0) != 0)
+  for (size_t I = Order.size(); I > 1; --I)
+    std::swap(Order[I - 1], Order[Rng.next() % I]);
+  std::vector<std::unique_ptr<KernelCase>> Out;
+  for (size_t I : Order) {
+    if (Out.size() == N)
+      break;
+    const Script &S = Set.Scripts[I];
+    if (S.Edited || S.Name.rfind("gen-", 0) != 0)
       continue;
-    Taken[I] = true;
     auto K = std::make_unique<KernelCase>();
     std::string Error;
-    if (!prepareKernel(Set.Scripts[I].Name, "", Set.Scripts[I].Source, 12345,
-                       *K, Error)) {
+    if (!prepareKernel(S.Name, "", S.Source, 12345, *K, Error)) {
       R.fail(Error);
       continue;
     }
@@ -504,13 +539,6 @@ void checkGenerator(Report &R, const LoadResult &L) {
 // Inputs
 //===----------------------------------------------------------------------===//
 
-uint64_t ScriptSet::hash() const {
-  uint64_t H = fnv1a("mvec_bench scripts");
-  for (const Script &S : Scripts)
-    H = fnv1a(S.Source, fnv1a(S.Name, H));
-  return H;
-}
-
 bool admitScript(const std::string &Source, std::string &Expected,
                  std::string &Why) {
   PipelineResult P = vectorizeSource(Source);
@@ -543,46 +571,6 @@ bool admitScript(const std::string &Source, std::string &Expected,
     return false;
   }
   return false;
-}
-
-ScriptSet coldScripts(uint64_t Seed, size_t Count) {
-  std::map<std::string, unsigned> Dropped;
-  std::vector<Script> Fresh = generatedScripts(Seed, (Count + 1) / 2, Dropped);
-  // Even slots: the fresh programs in order. Odd slots: one of the last 64
-  // fresh programs sent, with one statement appended after its nests (a
-  // new content key, the same nests).
-  ScriptSet Set;
-  Set.Scripts.resize(Count);
-  std::vector<std::string> Why(Count);
-  parallelFor(Count, [&](size_t Slot) {
-    size_t Half = Slot / 2;
-    if (Slot % 2 == 0) {
-      Set.Scripts[Slot] = Fresh[Half];
-      return;
-    }
-    fuzz::Rng Rng(fuzz::Rng::deriveSeed(Seed ^ 0xed17ull, Slot));
-    const Script &Base =
-        Fresh[Half - Rng.next() % std::min<size_t>(64, Half + 1)];
-    Script &S = Set.Scripts[Slot];
-    S.Name = Base.Name + "+edit-" + std::to_string(Slot);
-    S.Source = Base.Source;
-    if (!S.Source.empty() && S.Source.back() != '\n')
-      S.Source += '\n';
-    S.Source += "bench_edit = " + std::to_string(Slot) + ";\n";
-    S.Edited = true;
-    if (!admitScript(S.Source, S.Expected, Why[Slot]))
-      S = Script();
-  });
-  for (size_t Slot = 0; Slot != Count; ++Slot)
-    if (Set.Scripts[Slot].Source.empty())
-      ++Dropped["edited: " + Why[Slot]];
-  Set.Scripts.erase(std::remove_if(Set.Scripts.begin(), Set.Scripts.end(),
-                                   [](const Script &S) {
-                                     return S.Source.empty();
-                                   }),
-                    Set.Scripts.end());
-  Set.Dropped.assign(Dropped.begin(), Dropped.end());
-  return Set;
 }
 
 ScriptSet warmScripts(uint64_t Seed, const std::string &Root) {
@@ -627,6 +615,63 @@ size_t ZipfPicker::pick(double U) const {
 
 } // namespace
 
+Request requestFor(const Script &S, bool Validate) {
+  Request Req;
+  Req.V = Verb::Vec;
+  Req.Tenant = "bench";
+  Req.Name = S.Name;
+  Req.Validate = Validate;
+  Req.Body = S.Source;
+  return Req;
+}
+
+uint64_t ScriptSet::hash() const {
+  uint64_t H = fnv1a("mvec_bench scripts");
+  for (const Script &S : Scripts)
+    H = fnv1a(S.Source, fnv1a(S.Name, H));
+  return H;
+}
+
+ScriptSet coldScripts(uint64_t Seed, size_t Count) {
+  std::map<std::string, unsigned> Dropped;
+  std::vector<Script> Fresh = generatedScripts(Seed, (Count + 1) / 2, Dropped);
+  // Even slots: the fresh programs in order. Odd slots: one of the last 64
+  // fresh programs sent, with one statement appended after its nests (a
+  // new content key, the same nests).
+  ScriptSet Set;
+  Set.Scripts.resize(Count);
+  std::vector<std::string> Why(Count);
+  parallelFor(Count, [&](size_t Slot) {
+    size_t Half = Slot / 2;
+    if (Slot % 2 == 0) {
+      Set.Scripts[Slot] = Fresh[Half];
+      return;
+    }
+    fuzz::Rng Rng(fuzz::Rng::deriveSeed(Seed ^ 0xed17ull, Slot));
+    const Script &Base =
+        Fresh[Half - Rng.next() % std::min<size_t>(64, Half + 1)];
+    Script &S = Set.Scripts[Slot];
+    S.Name = Base.Name + "+edit-" + std::to_string(Slot);
+    S.Source = Base.Source;
+    if (!S.Source.empty() && S.Source.back() != '\n')
+      S.Source += '\n';
+    S.Source += "bench_edit = " + std::to_string(Slot) + ";\n";
+    S.Edited = true;
+    if (!admitScript(S.Source, S.Expected, Why[Slot]))
+      S = Script();
+  });
+  for (size_t Slot = 0; Slot != Count; ++Slot)
+    if (Set.Scripts[Slot].Source.empty())
+      ++Dropped["edited: " + Why[Slot]];
+  Set.Scripts.erase(std::remove_if(Set.Scripts.begin(), Set.Scripts.end(),
+                                   [](const Script &S) {
+                                     return S.Source.empty();
+                                   }),
+                    Set.Scripts.end());
+  Set.Dropped.assign(Dropped.begin(), Dropped.end());
+  return Set;
+}
+
 std::string writeDaemonConfig(const std::string &Work, bool Store) {
   std::string Path = Work + "/mvecd.conf";
   std::ofstream Out(Path);
@@ -670,15 +715,8 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
     return;
   }
   std::vector<std::string> Wires(Scripts.size());
-  for (size_t I = 0; I != Scripts.size(); ++I) {
-    Request Req;
-    Req.V = Verb::Vec;
-    Req.Tenant = "bench";
-    Req.Name = Scripts[I].Name;
-    Req.Validate = true;
-    Req.Body = Scripts[I].Source;
-    Wires[I] = serializeRequest(Req);
-  }
+  for (size_t I = 0; I != Scripts.size(); ++I)
+    Wires[I] = serializeRequest(requestFor(Scripts[I], true));
   size_t Edited = std::count_if(Scripts.begin(), Scripts.end(),
                                 [](const Script &S) { return S.Edited; });
   R.note("inputs: " + std::to_string(Scripts.size()) + " scripts (" +
@@ -688,7 +726,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
   for (const auto &[Why, N] : Set.Dropped)
     R.note("  dropped " + std::to_string(N) + " candidate(s): " + Why);
   std::vector<std::unique_ptr<KernelCase>> Cases =
-      sampleCases(Set, O.Seed, 64, R);
+      sampleCases(Set, O.Seed, 256, R);
   ZipfPicker Zipf(Scripts.size(), O.Seed);
 
   // cold-miss runs without the disk store: the store lives inside the
@@ -698,24 +736,42 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
   std::string ConfigPath = writeDaemonConfig(O.Work, Warm);
   std::string LogPath = O.Work + "/mvecd.log";
   MvecdProcess D;
-  std::vector<double> SetupS;
-  // Set-up (boot, and the warm-hit fill) several times; setup_s is the
-  // median, raw like the request metrics.
-  const int SetupReps = O.Trace ? 1 : 5;
+  // setup_s is the daemon's boot (process start, sandbox workers forked,
+  // first PING answered): the lower quartile of 15 boots, each
+  // host-normalised like in-process work (process creation is CPU work on
+  // the same vCPUs; single boots on the reference host vary 2x, and
+  // contention only adds to one). The warm-hit fill is not part of it: it
+  // writes every script through the disk store, one fsync per save, which
+  // times the device.
+  std::vector<double> SetupRaw, SetupS;
+  const int SetupReps = O.Trace ? 1 : 15;
   for (int Rep = 0; Rep != SetupReps; ++Rep) {
     freshDir(O.Work + "/store");
     freshDir(O.Work + "/quarantine");
-    Clock::time_point T0 = Clock::now();
+    double F = hostFactor();
     std::string Error;
-    if (!D.start(O.Mvecd, ConfigPath, LogPath, Error)) {
+    bool Started;
+    {
+      IdleSpinners Spin;
+      Clock::time_point T0 = Clock::now();
+      Started = D.start(O.Mvecd, ConfigPath, LogPath, Error);
+      SetupRaw.push_back(secondsBetween(T0, Clock::now()));
+    }
+    if (!Started) {
       R.fail(Error);
       return;
     }
-    if (Warm && !fill(R, D.port(), Scripts, Wires, O.Seed))
-      return;
-    SetupS.push_back(secondsBetween(T0, Clock::now()));
+    SetupS.push_back(SetupRaw.back() * F);
     if (Rep + 1 != SetupReps && !D.stop())
       R.fail("mvecd did not shut down cleanly");
+  }
+  if (Warm) {
+    Clock::time_point T0 = Clock::now();
+    if (!fill(R, D.port(), Scripts, Wires, O.Seed))
+      return;
+    R.note("fill (not gated: disk-store writes time the device): " +
+           std::to_string(Scripts.size()) + " scripts, 4 passes in " +
+           formatDouble(secondsBetween(T0, Clock::now())) + " s");
   }
 
   LoadSpec Base;
@@ -765,7 +821,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
     // Run time of the workload's programs, loop form vs vectorized form
     // (in this process, host-normalised).
     std::vector<std::vector<double>> LoopMs(Cases.size()),
-        VecMs(Cases.size());
+        VecMs(Cases.size()), LoopRaw(Cases.size()), VecRaw(Cases.size());
     Interpreter I;
     auto Probe = [&] {
       Clock::time_point PStart = Clock::now();
@@ -785,19 +841,28 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
             L += LR;
             V += VR;
           }
-          LoopMs[C].push_back(L / ProbeReps * F);
-          VecMs[C].push_back(V / ProbeReps * F);
+          LoopRaw[C].push_back(L / ProbeReps);
+          VecRaw[C].push_back(V / ProbeReps);
+          LoopMs[C].push_back(LoopRaw[C].back() * F);
+          VecMs[C].push_back(VecRaw[C].back() * F);
         }
       } while (secondsBetween(PStart, Clock::now()) < ProbeSliceSecs);
     };
 
     Clock::time_point Start = Clock::now();
-    do {
-      Closed.step();
-      if (!Open.step())
+    for (;;) {
+      bool More;
+      {
+        IdleSpinners Spin;
+        Closed.step();
+        More = Open.step();
+      }
+      if (!More)
         break;
       Probe();
-    } while (secondsBetween(Start, Clock::now()) < O.Seconds);
+      if (secondsBetween(Start, Clock::now()) >= O.Seconds)
+        break;
+    }
     const LoadResult &CL = Closed.Total, &OL = Open.Total;
     account(R, "closed loop", CL);
     noteLoad(R, "closed loop", CL);
@@ -817,11 +882,19 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
                   median(OL.SliceP90Ms), quantile(OL.LatMs, 0.99),
                   quantile(OL.LatMs, 0.999));
     R.note(Buf);
-    std::vector<double> LoopMed, VecMed;
+    std::vector<double> LoopMed, VecMed, LoopRawMed, VecRawMed;
     for (size_t C = 0; C != Cases.size(); ++C) {
       LoopMed.push_back(median(LoopMs[C]));
       VecMed.push_back(median(VecMs[C]));
+      LoopRawMed.push_back(median(LoopRaw[C]));
+      VecRawMed.push_back(median(VecRaw[C]));
     }
+    std::snprintf(Buf, sizeof(Buf),
+                  "raw (not host-normalised): setup_s %.6f s, loop_run_ms "
+                  "%.5f ms, vec_run_ms %.5f ms",
+                  quantile(SetupRaw, 0.25), geomean(LoopRawMed),
+                  geomean(VecRawMed));
+    R.note(Buf);
 
     std::string Stats, Error;
     if (!fetchStats(D.port(), Stats, Error)) {
@@ -845,7 +918,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
     R.note("failed_ratio (ratio): " +
            formatDouble(Attempted ? double(Failed) / Attempted : 0) +
            " of " + std::to_string(Attempted) + " requests");
-    R.add("setup_s", median(SetupS), "s");
+    R.add("setup_s", quantile(SetupS, 0.25), "s");
     R.add("loop_run_ms", geomean(LoopMed), "ms");
     R.add("vec_run_ms", geomean(VecMed), "ms");
     // Completions per second of each half-second slice; the upper
@@ -871,14 +944,17 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
   }
   UntracedLoad.Spec.Pick = Warm ? ZipfPhase(3) : Slice(SliceLen);
   TracedLoad.Spec.Pick = Warm ? ZipfPhase(4) : Slice(SliceLen);
-  for (double Spent = 0; Spent < PhaseSecs; Spent += OpenSliceSecs) {
-    if (!UntracedLoad.step())
-      break;
-    trace::setEnabled(true);
-    bool More = TracedLoad.step();
-    trace::setEnabled(false);
-    if (!More)
-      break;
+  {
+    IdleSpinners Spin;
+    for (double Spent = 0; Spent < PhaseSecs; Spent += OpenSliceSecs) {
+      if (!UntracedLoad.step())
+        break;
+      trace::setEnabled(true);
+      bool More = TracedLoad.step();
+      trace::setEnabled(false);
+      if (!More)
+        break;
+    }
   }
   const LoadResult &Untraced = UntracedLoad.Total, &Traced = TracedLoad.Total;
   account(R, "open loop (untraced)", Untraced);
@@ -900,6 +976,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
   In.LivePort = D.port();
   if (Warm) {
     In.Replay = Scripts;
+    In.ColdReplay = coldScripts(O.Seed, ColdReplayScripts).Scripts;
     In.FillFirst = true;
     In.Store = true;
     for (uint64_t K = 0; K != 2000; ++K)
@@ -910,6 +987,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
                          std::min(Scripts.size(), ColdWarmup + 300));
     for (size_t I = 0; I != In.Replay.size(); ++I)
       In.Sequence.push_back(I);
+    In.ColdReplay = In.Replay;
   }
   runLayerProbes(In, R);
   if (!D.stop())

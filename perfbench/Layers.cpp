@@ -22,6 +22,7 @@
 #include "vm/Compiler.h"
 #include "vm/VM.h"
 
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -276,12 +277,91 @@ JobSpec specFor(const Script &S, bool Validate) {
   return Spec;
 }
 
+/// What one replay through an in-process service returned.
+struct ServiceReplay {
+  std::vector<JobResult> Results;
+  double WallSeconds = 0;
+  uint64_t NestHits = 0, NestLookups = 0;
+};
+
+/// Replays \p Order over \p Scripts through \p Svc from two submitters,
+/// each waiting for its job (the closed loop's shape).
+ServiceReplay replayService(VectorizationService &Svc,
+                            const std::vector<Script> &Scripts,
+                            const std::vector<size_t> &Order, bool Validate,
+                            const char *Phase, Report &R) {
+  ServiceReplay Out;
+  uint64_t NestHits0 = Svc.nestCache().hits();
+  uint64_t NestMiss0 = Svc.nestCache().misses();
+  std::mutex Mutex;
+  std::atomic<size_t> Next{0};
+  Clock::time_point Start = Clock::now();
+  auto Submitter = [&] {
+    for (size_t K = Next++; K < Order.size(); K = Next++) {
+      const Script &S = Scripts[Order[K]];
+      JobResult J;
+      {
+        trace::Scope Span("service.job", K + 1);
+        J = Svc.submit(specFor(S, Validate)).get();
+      }
+      std::lock_guard<std::mutex> Lock(Mutex);
+      ++R.Attempted;
+      if (!J.succeeded() || J.VectorizedSource != S.Expected)
+        R.fail(std::string(Phase) + ": " + S.Name + ": " + J.Message);
+      Out.Results.push_back(std::move(J));
+    }
+  };
+  std::thread A(Submitter), B(Submitter);
+  A.join();
+  B.join();
+  Out.WallSeconds = secondsBetween(Start, Clock::now());
+  Out.NestHits = Svc.nestCache().hits() - NestHits0;
+  Out.NestLookups = Out.NestHits + Svc.nestCache().misses() - NestMiss0;
+  return Out;
+}
+
 void probeService(const LayerInputs &In, Report &R) {
   // Shaped like one daemon shard: two workers, the daemon's cache sizes.
   ServiceConfig C;
   C.Workers = 2;
   C.CacheCapacity = 512;
   C.NestCacheCapacity = 1024;
+
+  // The cold path: distinct scripts in send order, validation on, into an
+  // empty service (the edited resubmits are where the nest cache hits).
+  {
+    VectorizationService Svc(C);
+    std::vector<size_t> Order(In.ColdReplay.size());
+    for (size_t I = 0; I != Order.size(); ++I)
+      Order[I] = I;
+    ServiceReplay Cold = replayService(Svc, In.ColdReplay, Order, true,
+                                       "service cold replay", R);
+    std::vector<double> Queue, Vec, Val, Total;
+    double Busy = 0;
+    for (const JobResult &J : Cold.Results) {
+      Queue.push_back(J.QueueSeconds * 1e3);
+      Total.push_back(J.TotalSeconds * 1e3);
+      Vec.push_back(J.VectorizeSeconds * 1e3);
+      Val.push_back(J.ValidateSeconds * 1e3);
+      Busy += J.VectorizeSeconds + J.ValidateSeconds;
+      if (J.CacheHit)
+        R.fail("service cold replay: " + J.Name + " hit the result cache");
+    }
+    trace::count("service.nest_cache.hits", Cold.NestHits);
+    trace::count("service.nest_cache.lookups", Cold.NestLookups);
+    R.add("service.queue_ms", median(Queue), "ms");
+    R.add("service.vectorize_ms", median(Vec), "ms");
+    R.add("service.validate_ms", median(Val), "ms");
+    R.add("service.total_ms", median(Total), "ms");
+    R.add("service.worker_busy_ratio",
+          Busy / (C.Workers * std::max(Cold.WallSeconds, 1e-9)), "ratio");
+    R.add("service.nest_hit_ratio",
+          Cold.NestLookups ? double(Cold.NestHits) / Cold.NestLookups : 0,
+          "ratio");
+  }
+
+  // The hit path: the workload's own request sequence (after the fill on
+  // warm-hit).
   VectorizationService Svc(C);
   if (In.FillFirst) {
     std::vector<JobSpec> Specs;
@@ -291,79 +371,26 @@ void probeService(const LayerInputs &In, Report &R) {
       if (!J.succeeded())
         R.fail("service fill: " + J.Name + ": " + J.Message);
   }
-  uint64_t NestHits0 = Svc.nestCache().hits();
-  uint64_t NestMiss0 = Svc.nestCache().misses();
-
-  // Two submitters, each waiting for its job: the closed loop's shape.
-  std::mutex Mutex;
-  std::vector<JobResult> Results;
-  std::atomic<size_t> Next{0};
-  Clock::time_point Start = Clock::now();
-  auto Submitter = [&] {
-    for (size_t K = Next++; K < In.Sequence.size(); K = Next++) {
-      const Script &S = In.Replay[In.Sequence[K]];
-      JobResult J;
-      {
-        trace::Scope Span("service.job", K + 1);
-        J = Svc.submit(specFor(S, In.Validate)).get();
-      }
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++R.Attempted;
-      if (!J.succeeded() || J.VectorizedSource != S.Expected)
-        R.fail("service replay: " + S.Name + ": " + J.Message);
-      Results.push_back(std::move(J));
-    }
-  };
-  std::thread A(Submitter), B(Submitter);
-  A.join();
-  B.join();
-  double Wall = secondsBetween(Start, Clock::now());
-
-  std::vector<double> Queue, Vec, Val, Total, Hit;
-  double Busy = 0;
+  ServiceReplay Own = replayService(Svc, In.Replay, In.Sequence, In.Validate,
+                                    "service replay", R);
+  std::vector<double> Hit;
   size_t MemoryHits = 0;
-  for (const JobResult &J : Results) {
-    Queue.push_back(J.QueueSeconds * 1e3);
-    Total.push_back(J.TotalSeconds * 1e3);
-    Busy += J.VectorizeSeconds + J.ValidateSeconds;
+  for (const JobResult &J : Own.Results) {
     if (J.CacheHit) {
       Hit.push_back(J.TotalSeconds * 1e3);
       MemoryHits += !J.DiskHit;
-    } else {
-      Vec.push_back(J.VectorizeSeconds * 1e3);
-      Val.push_back(J.ValidateSeconds * 1e3);
     }
   }
-  uint64_t NestHits = Svc.nestCache().hits() - NestHits0;
-  uint64_t NestLookups = NestHits + Svc.nestCache().misses() - NestMiss0;
-  trace::count("service.nest_cache.hits", NestHits);
-  trace::count("service.nest_cache.lookups", NestLookups);
   trace::count("service.result_cache.hits", Hit.size());
-  R.add("service.queue_ms", median(Queue), "ms");
-  R.add("service.vectorize_ms", median(Vec), "ms");
-  R.add("service.validate_ms", median(Val), "ms");
-  R.add("service.total_ms", median(Total), "ms");
-  R.add("service.worker_busy_ratio", Busy / (C.Workers * Wall), "ratio");
-  R.add("service.nest_hit_ratio",
-        NestLookups ? double(NestHits) / NestLookups : 0, "ratio");
   R.add("service.hit_ms", median(Hit), "ms");
   R.add("service.memory_hit_ratio",
-        Results.empty() ? 0 : double(MemoryHits) / Results.size(), "ratio");
+        Own.Results.empty() ? 0 : double(MemoryHits) / Own.Results.size(),
+        "ratio");
 }
 
 //===----------------------------------------------------------------------===//
 // daemon, sandbox
 //===----------------------------------------------------------------------===//
-
-Request requestFor(const Script &S, bool Validate) {
-  Request Req;
-  Req.V = Verb::Vec;
-  Req.Tenant = "bench";
-  Req.Name = S.Name;
-  Req.Validate = Validate;
-  Req.Body = S.Source;
-  return Req;
-}
 
 /// p50 of Daemon::handle over the Sequence, on one thread.
 double probeHandle(const LayerInputs &In, Report &R, bool Process) {

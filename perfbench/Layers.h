@@ -23,6 +23,10 @@
 
 namespace perfbench {
 
+/// Scripts in LayerInputs::ColdReplay on the workloads that do not send
+/// cold traffic themselves.
+constexpr size_t ColdReplayScripts = 300;
+
 struct LayerInputs {
   /// Programs for the interp/simd/vm probes.
   const std::vector<std::unique_ptr<KernelCase>> *Kernels = nullptr;
@@ -33,6 +37,11 @@ struct LayerInputs {
   std::vector<Script> Replay;
   /// Request order over Replay for the service/daemon/codec replays.
   std::vector<size_t> Sequence;
+  /// Distinct validated scripts (fresh and edited resubmits, as cold-miss
+  /// sends them) replayed in order, validation on, through a fresh
+  /// service for its cold-path figures (queue, vectorize, validate, total,
+  /// worker busy, nest-cache hits) on every workload.
+  std::vector<Script> ColdReplay;
   /// Submit every Replay script once, untimed, before the Sequence (the
   /// warm-hit fill).
   bool FillFirst = false;

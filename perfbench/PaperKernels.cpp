@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include <unistd.h>
 
 using namespace mvec;
 
@@ -281,18 +280,19 @@ void runPaperKernels(const Options &O, Report &R) {
   // Set-up, several times: vectorize + validate every program and build
   // its workspaces. setup_s is the median.
   PaperBench B;
-  std::vector<double> SetupS;
+  std::vector<double> SetupS, SetupRaw;
   const int SetupReps = O.Trace ? 1 : 3;
   for (int Rep = 0; Rep != SetupReps; ++Rep) {
     B = PaperBench();
-    double F = hostFactor(3);
+    double F = hostFactor();
     Clock::time_point T0 = Clock::now();
     std::string Error;
     if (!B.setUp(O.Seed, Error)) {
       R.fail(Error);
       return;
     }
-    SetupS.push_back(secondsBetween(T0, Clock::now()) * F);
+    SetupRaw.push_back(secondsBetween(T0, Clock::now()));
+    SetupS.push_back(SetupRaw.back() * F);
   }
   ++R.Attempted;
   for (size_t P = 0; P != B.Cases.size(); ++P) {
@@ -316,40 +316,50 @@ void runPaperKernels(const Options &O, Report &R) {
   }
 
   const size_t NP = B.Cases.size();
-  std::vector<std::vector<double>> LoopMs(NP), VecMs(NP);
+  // Per program: raw kernel times and the same times host-normalised.
+  std::vector<std::vector<double>> LoopRaw(NP), VecRaw(NP), LoopMs(NP),
+      VecMs(NP);
+  // Runs one kernel inside its span (a no-op when not tracing) and returns
+  // the wall time across the span, so a traced sample carries the span's
+  // own cost; negative on a runtime error.
+  auto Timed = [&](size_t P, bool Vectorized, bool Traced) {
+    const KernelCase &K = *B.Cases[P];
+    Interpreter &Ws = Vectorized ? B.VecWs[P] : B.LoopWs[P];
+    Clock::time_point T0 = Clock::now();
+    double Ms;
+    {
+      trace::Scope S(Traced ? trace::intern("paper." + K.Name +
+                                            (Vectorized ? ".vec" : ".loop"))
+                            : "");
+      Ms = runCase(K, Vectorized, Ws, O.Seed);
+    }
+    return Ms < 0 ? Ms : msBetween(T0, Clock::now());
+  };
   // One round: every loop kernel once, then its vectorized kernel until
   // it has run a tenth of the loop time (at least 5, at most 400 times).
-  // Samples are host-normalised by a calibration run just before them.
+  // Samples are host-normalised by a calibration just before them.
   auto Round = [&](bool Traced) {
     for (size_t P = 0; P != NP; ++P) {
       const KernelCase &K = *B.Cases[P];
-      double F = hostFactor(), FK = kernelHostFactor();
-      double L;
-      {
-        trace::Scope S(Traced ? trace::intern("paper." + K.Name + ".loop")
-                              : "");
-        L = runCase(K, false, B.LoopWs[P], O.Seed);
-      }
+      double F = hostFactor(), FK = kernelHostFactor(F);
+      double L = Timed(P, false, Traced);
       ++R.Attempted;
       if (L < 0) {
         R.fail("paper " + K.Name + ": loop kernel failed");
         continue;
       }
       ++B.LoopRuns[P];
+      LoopRaw[P].push_back(L);
       LoopMs[P].push_back(L * F);
       double Spent = 0;
       for (int Rep = 0; Rep != 400 && (Rep < 5 || Spent < 0.1 * L); ++Rep) {
-        double V;
-        {
-          trace::Scope S(Traced ? trace::intern("paper." + K.Name + ".vec")
-                                : "");
-          V = runCase(K, true, B.VecWs[P], O.Seed);
-        }
+        double V = Timed(P, true, Traced);
         ++R.Attempted;
         if (V < 0) {
           R.fail("paper " + K.Name + ": vectorized kernel failed");
           break;
         }
+        VecRaw[P].push_back(V);
         VecMs[P].push_back(V * FK);
         Spent += V;
       }
@@ -364,13 +374,13 @@ void runPaperKernels(const Options &O, Report &R) {
   };
 
   if (O.Trace) {
-    // Untraced and traced rounds, interleaved, for trace.overhead_ratio.
+    // Untraced and traced rounds, interleaved (raw wall times).
     std::vector<std::vector<double>> UL(NP), UV(NP), TL(NP), TV(NP);
     for (int Rep = 0; Rep != 3; ++Rep) {
       for (bool Traced : {false, true}) {
         for (size_t P = 0; P != NP; ++P) {
-          LoopMs[P].clear();
-          VecMs[P].clear();
+          LoopRaw[P].clear();
+          VecRaw[P].clear();
         }
         trace::setEnabled(Traced);
         Round(Traced);
@@ -378,16 +388,26 @@ void runPaperKernels(const Options &O, Report &R) {
         for (size_t P = 0; P != NP; ++P) {
           auto &DL = Traced ? TL[P] : UL[P];
           auto &DV = Traced ? TV[P] : UV[P];
-          DL.insert(DL.end(), LoopMs[P].begin(), LoopMs[P].end());
-          DV.insert(DV.end(), VecMs[P].begin(), VecMs[P].end());
+          DL.insert(DL.end(), LoopRaw[P].begin(), LoopRaw[P].end());
+          DV.insert(DV.end(), VecRaw[P].begin(), VecRaw[P].end());
         }
       }
     }
-    double Untraced = 0, Traced = 0;
+    // Kernel time untraced (E) and traced (T), and the layer self times
+    // along a kernel run's blocking path (S): the interpreter call inside
+    // each paper.<prog>.loop / .vec span.
+    double E = 0, T = 0, S = 0;
     for (size_t P = 0; P != NP; ++P) {
-      Untraced += median(UL[P]) + median(UV[P]);
-      Traced += median(TL[P]) + median(TV[P]);
+      const std::string Name = "paper." + B.Cases[P]->Name;
+      E += median(UL[P]) + median(UV[P]);
+      T += median(TL[P]) + median(TV[P]);
+      S += median(trace::selfTimesMs(Name + ".loop")) +
+           median(trace::selfTimesMs(Name + ".vec"));
     }
+    R.note("reconciliation: kernel time (sum over programs of loop + "
+           "vectorized medians) untraced " + formatDouble(E) +
+           " ms, traced " + formatDouble(T) + " ms; layer self times " +
+           formatDouble(S) + " ms");
     LayerInputs In;
     In.Kernels = &B.Cases;
     In.Paper = &B.Cases;
@@ -406,16 +426,15 @@ void runPaperKernels(const Options &O, Report &R) {
     // The service and daemons replay these programs without validation:
     // set-up validated them already, and validating histeq at paper size
     // exceeds the service's default per-job memory budget (the job
-    // degrades).
+    // degrades). The service's cold path is measured on generated scripts.
     In.Validate = false;
+    In.ColdReplay = coldScripts(O.Seed, ColdReplayScripts).Scripts;
     In.Seed = O.Seed;
     In.Work = O.Work;
     In.Mvecd = O.Mvecd;
     runLayerProbes(In, R);
-    // On this workload the blocking path of a kernel run is one
-    // interpreter call: the traced kernel spans are the layer self times.
-    R.add("trace.overhead_ratio", (Traced - Untraced) / Untraced, "ratio");
-    R.add("trace.unaccounted_ratio", (Untraced - Traced) / Untraced, "ratio");
+    R.add("trace.overhead_ratio", (T - E) / E, "ratio");
+    R.add("trace.unaccounted_ratio", (E - S) / E, "ratio");
     R.add("loadgen.late_ms_p99", 0, "ms");
   } else {
     // Rounds of kernels, each followed by compile blocks for a fifth of
@@ -423,9 +442,9 @@ void runPaperKernels(const Options &O, Report &R) {
     // every metric samples the whole window. The in-process request of
     // this workload is one vectorizeSource call on a paper program
     // (closed loop, one thread), in blocks of 64 calls, each block
-    // host-normalised by a calibration run before it.
-    std::vector<double> CompileMs;
-    double CompileSecs = 0; // host-normalised
+    // host-normalised by a calibration just before it.
+    std::vector<double> CompileRaw, CompileMs;
+    double CompileSecsRaw = 0, CompileSecs = 0;
     auto CompileBlocks = [&](double Budget) {
       Clock::time_point CStart = Clock::now();
       do {
@@ -435,11 +454,13 @@ void runPaperKernels(const Options &O, Report &R) {
           const KernelCase &K = *B.Cases[I % NP];
           Clock::time_point T0 = Clock::now();
           PipelineResult P = vectorizeSource(K.FullSource);
-          CompileMs.push_back(msBetween(T0, Clock::now()) * F);
+          CompileRaw.push_back(msBetween(T0, Clock::now()));
+          CompileMs.push_back(CompileRaw.back() * F);
           ++R.Attempted;
           if (!P.succeeded() || P.VectorizedSource != K.VectorizedSource)
             R.fail("paper " + K.Name + ": vectorizeSource output changed");
         }
+        CompileSecsRaw += secondsBetween(BStart, Clock::now());
         CompileSecs += secondsBetween(BStart, Clock::now()) * F;
       } while (secondsBetween(CStart, Clock::now()) < Budget);
     };
@@ -451,23 +472,33 @@ void runPaperKernels(const Options &O, Report &R) {
     } while (secondsBetween(Start, Clock::now()) < O.Seconds);
 
     std::vector<double> LoopMed = Medians(LoopMs), VecMed = Medians(VecMs);
+    std::vector<double> LoopRawMed = Medians(LoopRaw),
+                        VecRawMed = Medians(VecRaw);
     std::vector<double> Speedups;
     for (size_t P = 0; P != NP; ++P) {
-      Speedups.push_back(LoopMed[P] / VecMed[P]);
+      Speedups.push_back(LoopRawMed[P] / VecRawMed[P]);
       char Buf[256];
       std::snprintf(Buf, sizeof(Buf),
                     "paper %-7s loop %9.3f ms (n=%zu)  vectorized %8.4f ms "
-                    "(n=%zu)  speedup %7.1fx",
-                    B.Cases[P]->Name.c_str(), LoopMed[P], LoopMs[P].size(),
-                    VecMed[P], VecMs[P].size(), Speedups.back());
+                    "(n=%zu)  speedup %7.1fx  (raw)",
+                    B.Cases[P]->Name.c_str(), LoopRawMed[P], LoopRaw[P].size(),
+                    VecRawMed[P], VecRaw[P].size(), Speedups.back());
       R.note(Buf);
     }
-    char Buf[160];
+    char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   "paper speedup (geomean, not gated): %.1fx; compile "
                   "samples %zu, p90 %.4f ms, p99 %.4f ms",
                   geomean(Speedups), CompileMs.size(),
                   quantile(CompileMs, 0.9), quantile(CompileMs, 0.99));
+    R.note(Buf);
+    std::snprintf(Buf, sizeof(Buf),
+                  "raw (not host-normalised): setup_s %.4f s, loop_run_ms "
+                  "%.4f ms, vec_run_ms %.5f ms, throughput_rps %.1f /s, "
+                  "req_ms_p50 %.5f ms",
+                  median(SetupRaw), geomean(LoopRawMed), geomean(VecRawMed),
+                  static_cast<double>(CompileRaw.size()) / CompileSecsRaw,
+                  quantile(CompileRaw, 0.5));
     R.note(Buf);
 
     R.add("setup_s", median(SetupS), "s");
@@ -476,7 +507,7 @@ void runPaperKernels(const Options &O, Report &R) {
     R.add("throughput_rps",
           static_cast<double>(CompileMs.size()) / CompileSecs, "1/s");
     R.add("req_ms_p50", quantile(CompileMs, 0.5), "ms");
-    R.add("peak_rss_mb", peakRssMb(::getpid()), "MB");
+    R.add("peak_rss_mb", ownPeakRssMb(), "MB");
   }
 
   // The timed loop workspaces must agree with the vectorized kernel run

@@ -16,6 +16,7 @@
 
 #include "Common.h"
 
+#include "daemon/Protocol.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 
@@ -100,6 +101,21 @@ struct Script {
   /// after its loop nests (new content key, same nests).
   bool Edited = false;
 };
+
+/// The VEC request the benchmark sends for \p S (tenant "bench").
+mvec::daemon::Request requestFor(const Script &S, bool Validate);
+
+struct ScriptSet {
+  std::vector<Script> Scripts;
+  /// Candidates dropped because the service would not report them
+  /// succeeded (reason -> count). Inputs are chosen so no request fails.
+  std::vector<std::pair<std::string, unsigned>> Dropped;
+  uint64_t hash() const;
+};
+
+/// cold-miss traffic: \p Count distinct scripts in send order, half fresh
+/// generator programs, half edited resubmits of recent earlier ones.
+ScriptSet coldScripts(uint64_t Seed, size_t Count);
 
 //===----------------------------------------------------------------------===//
 // Workloads
