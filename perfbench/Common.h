@@ -105,8 +105,8 @@ std::string filesystemType(const std::string &Path);
 /// comparison run the same calibration, so the scaling cancels host
 /// state, not program speed. The reference is this host's undisturbed
 /// calibration time. Raw figures are printed beside every normalised one.
-/// The daemon's boot is normalised the same way; requests through mvecd
-/// stay raw (a calibration here does not track a multi-process server).
+/// Requests through mvecd are normalised by a loopback TCP ping-pong
+/// instead (DaemonLoad.cpp), the daemon's boot not at all.
 constexpr double CalibrationReferenceMs = 1.15;
 /// One run of the calibration workload, in ms: allocation churn (the
 /// interpreter's dominant cost) through a std::pmr pool over a private

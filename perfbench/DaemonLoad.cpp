@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -38,8 +39,14 @@
 #include <thread>
 #include <unordered_set>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sched.h>
 #include <sys/prctl.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace mvec;
 using namespace mvec::daemon;
@@ -155,10 +162,12 @@ std::vector<Script> generatedScripts(uint64_t Seed, size_t Count,
 constexpr double ClosedSliceSecs = 0.5;
 constexpr double OpenSliceSecs = 1.0;
 constexpr double ProbeSliceSecs = 0.15;
+constexpr double LoopbackSliceSecs = 0.1; // twice: ping-pong, paced
 
 size_t cycles(unsigned Seconds) {
   return static_cast<size_t>(
-             Seconds / (ClosedSliceSecs + OpenSliceSecs + ProbeSliceSecs)) +
+             Seconds / (ClosedSliceSecs + OpenSliceSecs + ProbeSliceSecs +
+                        2 * LoopbackSliceSecs)) +
          2;
 }
 
@@ -206,7 +215,7 @@ struct LoadResult {
   /// Request numbers handed out (some may go unsent at the deadline).
   uint64_t Claimed = 0;
   /// SlicedLoad: each slice's p90 latency and completions per second.
-  std::vector<double> SliceP90Ms, SliceRps;
+  std::vector<double> SliceP50Ms, SliceP90Ms, SliceRps;
   double Secs = 0;
   bool Exhausted = false;
   std::string FirstError;
@@ -350,7 +359,9 @@ LoadResult runLoad(const LoadSpec &Spec) {
 /// halted vCPU through the hypervisor, whose latency follows the host's
 /// load (the idle=poll technique). On the reference host, over five seeds
 /// interleaved with and without, warm-hit's req_ms_p50 spread 0.08 with
-/// spinners and 0.34 without; throughput fell 4%.
+/// spinners and 0.34 without; throughput fell 4%. The daemon's boots run
+/// without them: under spinners a boot took 5-20 ms instead of 2-4 ms, in
+/// runs that switched between the two for good part-way through.
 class IdleSpinners {
 public:
   IdleSpinners() {
@@ -380,11 +391,150 @@ private:
   std::vector<std::thread> Threads;
 };
 
+/// Pins the calling thread to \p Cpu (ignored when it cannot).
+void pinToCpu(unsigned Cpu) {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  CPU_SET(Cpu, &Set);
+  ::sched_setaffinity(0, sizeof(Set), &Set);
+}
+
+/// Host-speed reference for request metrics, measured between two threads
+/// of this process over a loopback TCP connection, 64-byte messages, for
+/// \p Secs: with \p PacedRate 0 the round trips per second of a ping-pong
+/// (Rps), otherwise the round-trip times (ms, from when each was due) of
+/// messages sent at \p PacedRate per second (PacedMs). No mvec code runs in it, so a change to the
+/// program does not move it; it pays what a request through mvecd pays
+/// most of (loopback TCP, system calls, wake-ups across vCPUs; paced, a
+/// timer wake-up as well), so it follows the host's contended phases,
+/// which on the reference host move warm-hit throughput and latency by up
+/// to 2x between runs. The threads are pinned to \p CpuA and \p CpuB: a
+/// free pair lands on one vCPU or on two from one sample to the next, and
+/// the rates of the two differ 2x.
+struct LoopbackSample {
+  double Rps = 0;
+  std::vector<double> PacedMs;
+};
+bool loopbackProbe(double Secs, unsigned CpuA, unsigned CpuB,
+                   double PacedRate, LoopbackSample &Out) {
+  int Listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Listener < 0)
+    return false;
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t Len = sizeof(Addr);
+  int Client = -1, Server = -1;
+  if (::bind(Listener, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+          0 &&
+      ::listen(Listener, 1) == 0 &&
+      ::getsockname(Listener, reinterpret_cast<sockaddr *>(&Addr), &Len) ==
+          0) {
+    Client = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (Client >= 0 &&
+        ::connect(Client, reinterpret_cast<sockaddr *>(&Addr),
+                  sizeof(Addr)) == 0)
+      Server = ::accept(Listener, nullptr, nullptr);
+  }
+  ::close(Listener);
+  if (Server < 0) {
+    if (Client >= 0)
+      ::close(Client);
+    return false;
+  }
+  int One = 1;
+  ::setsockopt(Client, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  ::setsockopt(Server, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  constexpr size_t Msg = 64;
+  // Sends or receives exactly Msg bytes; false on EOF or error.
+  auto Transfer = [](int Fd, char *Buf, bool Send) {
+    for (size_t Done = 0; Done != Msg;) {
+      ssize_t N = Send ? ::send(Fd, Buf + Done, Msg - Done, MSG_NOSIGNAL)
+                       : ::recv(Fd, Buf + Done, Msg - Done, 0);
+      if (N <= 0)
+        return false;
+      Done += static_cast<size_t>(N);
+    }
+    return true;
+  };
+  std::thread Echo([&] {
+    pinToCpu(CpuB);
+    char Buf[Msg];
+    while (Transfer(Server, Buf, false) && Transfer(Server, Buf, true)) {
+    }
+  });
+  bool Ok = true;
+  std::thread Ping([&] {
+    pinToCpu(CpuA);
+    ::prctl(PR_SET_TIMERSLACK, 1UL); // as the load generator's threads
+    char Buf[Msg] = {};
+    uint64_t Trips = 0;
+    Clock::time_point Start = Clock::now();
+    double Spent = 0;
+    while (PacedRate == 0 && Ok && Spent < Secs) {
+      for (int K = 0; K != 32 && Ok; ++K, ++Trips)
+        Ok = Transfer(Client, Buf, true) && Transfer(Client, Buf, false);
+      Spent = secondsBetween(Start, Clock::now());
+      Out.Rps = Trips / Spent;
+    }
+    for (uint64_t K = 0; PacedRate > 0 && Ok; ++K) {
+      Clock::time_point Due =
+          Start + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(K / PacedRate));
+      if (secondsBetween(Start, Due) >= Secs)
+        break;
+      std::this_thread::sleep_until(Due);
+      Ok = Transfer(Client, Buf, true) && Transfer(Client, Buf, false);
+      Out.PacedMs.push_back(msBetween(Due, Clock::now()));
+    }
+    ::shutdown(Client, SHUT_RDWR);
+  });
+  Ping.join();
+  Echo.join();
+  ::close(Client);
+  ::close(Server);
+  return Ok;
+}
+
+/// loopbackProbe's figures on the reference host in a quiet phase. Each
+/// load slice is reported at this host speed: its throughput * reference
+/// rate / the ping-pong rate right after it, its latency * reference round
+/// trip / the median paced round trip right after it.
+constexpr double LoopbackReferenceRps = 65000;
+constexpr double LoopbackReferenceMs = 0.03;
+
+/// Milliseconds to fork, exec and reap mvec_bench_spawn (the program beside
+/// this one, SpawnProbe.cpp); a negative value when it cannot be run.
+double spawnProbeMs() {
+  static const std::string Path = [] {
+    char Self[4096];
+    ssize_t N = ::readlink("/proc/self/exe", Self, sizeof(Self) - 1);
+    std::string Dir = N > 0 ? std::string(Self, static_cast<size_t>(N)) : "";
+    return Dir.substr(0, Dir.rfind('/') + 1) + "mvec_bench_spawn";
+  }();
+  const char *Exe = Path.c_str();
+  Clock::time_point T0 = Clock::now();
+  pid_t Pid = ::vfork(); // as MvecdProcess::start
+  if (Pid < 0)
+    return -1;
+  if (Pid == 0) {
+    ::execl(Exe, Exe, static_cast<char *>(nullptr));
+    ::_exit(127);
+  }
+  int Status = 0;
+  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+  }
+  double Ms = msBetween(T0, Clock::now());
+  return WIFEXITED(Status) && WEXITSTATUS(Status) == 0 ? Ms : -1;
+}
+
+/// spawnProbeMs on the reference host in a quiet phase. The daemon's boot
+/// is reported at this host speed: boot * reference / median probe now.
+constexpr double SpawnReferenceMs = 1.0;
+
 /// One load phase run as a series of slices (step()), keeping per-slice
 /// figures so that a host stall moves one slice's figure instead of the
-/// run's. Request metrics are not host-normalised: on the reference host
-/// neither the in-process calibration nor a 1-byte ping-pong between two
-/// processes tracked how its drift moves a multi-process server.
+/// run's.
 struct SlicedLoad {
   LoadSpec Spec;
   LoadResult Total;
@@ -408,6 +558,7 @@ struct SlicedLoad {
     Total.Exhausted = L.Exhausted;
     Total.LatMs.insert(Total.LatMs.end(), L.LatMs.begin(), L.LatMs.end());
     Total.LateMs.insert(Total.LateMs.end(), L.LateMs.begin(), L.LateMs.end());
+    Total.SliceP50Ms.push_back(quantile(L.LatMs, 0.5));
     Total.SliceP90Ms.push_back(quantile(L.LatMs, 0.9));
     Total.SliceRps.push_back(L.Ok / L.Secs);
     if (Total.FirstError.empty())
@@ -737,34 +888,35 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
   std::string LogPath = O.Work + "/mvecd.log";
   MvecdProcess D;
   // setup_s is the daemon's boot (process start, sandbox workers forked,
-  // first PING answered): the lower quartile of 15 boots, each
-  // host-normalised like in-process work (process creation is CPU work on
-  // the same vCPUs; single boots on the reference host vary 2x, and
-  // contention only adds to one). The warm-hit fill is not part of it: it
-  // writes every script through the disk store, one fsync per save, which
-  // times the device.
-  std::vector<double> SetupRaw, SetupS;
-  const int SetupReps = O.Trace ? 1 : 15;
+  // first PING answered): the median of 30 boots, scaled by the median of
+  // 30 spawnProbeMs() runs, one just before each boot. A boot is mostly
+  // process start (fork, exec, page faults), which the host's contended
+  // phases slow about 2x; the allocation churn hostFactor() calibrates
+  // slows more. The boots run without IdleSpinners (see there). The
+  // warm-hit fill is not part of it: it writes every script through the
+  // disk store, one fsync per save, which times the device.
+  std::vector<double> BootMs, SpawnMs;
+  const int SetupReps = O.Trace ? 1 : 30;
   for (int Rep = 0; Rep != SetupReps; ++Rep) {
     freshDir(O.Work + "/store");
     freshDir(O.Work + "/quarantine");
-    double F = hostFactor();
-    std::string Error;
-    bool Started;
-    {
-      IdleSpinners Spin;
-      Clock::time_point T0 = Clock::now();
-      Started = D.start(O.Mvecd, ConfigPath, LogPath, Error);
-      SetupRaw.push_back(secondsBetween(T0, Clock::now()));
+    SpawnMs.push_back(spawnProbeMs());
+    if (SpawnMs.back() <= 0) {
+      R.fail("mvec_bench_spawn did not run");
+      return;
     }
+    std::string Error;
+    Clock::time_point T0 = Clock::now();
+    bool Started = D.start(O.Mvecd, ConfigPath, LogPath, Error);
+    BootMs.push_back(msBetween(T0, Clock::now()));
     if (!Started) {
       R.fail(Error);
       return;
     }
-    SetupS.push_back(SetupRaw.back() * F);
     if (Rep + 1 != SetupReps && !D.stop())
       R.fail("mvecd did not shut down cleanly");
   }
+  double SetupS = median(BootMs) / 1e3 * SpawnReferenceMs / median(SpawnMs);
   if (Warm) {
     Clock::time_point T0 = Clock::now();
     if (!fill(R, D.port(), Scripts, Wires, O.Seed))
@@ -849,13 +1001,40 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
       } while (secondsBetween(PStart, Clock::now()) < ProbeSliceSecs);
     };
 
+    // The loopback reference, measured in every cycle under the same
+    // spinners as the load, the ping-pong right after the closed-loop
+    // slice and the paced probe right after the open-loop slice (see
+    // loopbackProbe): each slice is scaled by the host speed of its own
+    // moment, so a stall of a few seconds moves a few slices.
+    std::vector<double> NetRps, NetMs, RpsAtRef, P50AtRef;
     Clock::time_point Start = Clock::now();
     for (;;) {
-      bool More;
+      bool More, NetOk;
       {
         IdleSpinners Spin;
+        // Each cycle pins the pair to the next two vCPUs, so the run
+        // covers every vCPU the daemon runs on.
+        unsigned Cpus = std::max(1u, std::thread::hardware_concurrency());
+        unsigned Cpu = static_cast<unsigned>(NetRps.size()) % Cpus;
+        LoopbackSample Ping, Paced;
         Closed.step();
+        NetOk = loopbackProbe(LoopbackSliceSecs, Cpu, (Cpu + 1) % Cpus, 0,
+                              Ping);
         More = Open.step();
+        NetOk = NetOk && loopbackProbe(LoopbackSliceSecs, Cpu,
+                                       (Cpu + 1) % Cpus, Rate, Paced);
+        if (NetOk) {
+          NetRps.push_back(Ping.Rps);
+          NetMs.push_back(median(Paced.PacedMs));
+          RpsAtRef.push_back(Closed.Total.SliceRps.back() *
+                             LoopbackReferenceRps / NetRps.back());
+          P50AtRef.push_back(Open.Total.SliceP50Ms.back() *
+                             LoopbackReferenceMs / NetMs.back());
+        }
+      }
+      if (!NetOk) {
+        R.fail("loopback reference: socket error");
+        break;
       }
       if (!More)
         break;
@@ -873,7 +1052,7 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
       R.fail("open loop ran out of input scripts");
     // The tail is printed, not gated: on the reference host it measures
     // hypervisor stalls (per-second p99 swings 0.8-13 ms within a run).
-    char Buf[256];
+    char Buf[400];
     std::snprintf(Buf, sizeof(Buf),
                   "open loop: %zu latency samples in %zu one-second slices; "
                   "req_ms_p90 %.3f ms (median of slice p90s), req_ms_p99 "
@@ -890,11 +1069,24 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
       VecRawMed.push_back(median(VecRaw[C]));
     }
     std::snprintf(Buf, sizeof(Buf),
-                  "raw (not host-normalised): setup_s %.6f s, loop_run_ms "
-                  "%.5f ms, vec_run_ms %.5f ms",
-                  quantile(SetupRaw, 0.25), geomean(LoopRawMed),
-                  geomean(VecRawMed));
+                  "raw (not host-normalised): boot %.3f ms (spawn probe "
+                  "%.3f ms, reference %.1f), loop_run_ms "
+                  "%.5f ms, vec_run_ms %.5f ms, throughput_rps %.1f 1/s, "
+                  "req_ms_p50 %.5f ms (medians over slices); loopback %.0f "
+                  "round trips/s "
+                  "(reference %.0f), paced round trip %.5f ms (reference "
+                  "%.3f)",
+                  median(BootMs), median(SpawnMs), SpawnReferenceMs,
+                  geomean(LoopRawMed), geomean(VecRawMed), median(CL.SliceRps),
+                  median(OL.SliceP50Ms), median(NetRps), LoopbackReferenceRps, median(NetMs),
+                  LoopbackReferenceMs);
     R.note(Buf);
+    R.host("loopback", "{\"rps\":" + formatDouble(median(NetRps)) +
+                           ",\"rps_reference\":" +
+                           formatDouble(LoopbackReferenceRps) +
+                           ",\"paced_ms\":" + formatDouble(median(NetMs)) +
+                           ",\"paced_ms_reference\":" +
+                           formatDouble(LoopbackReferenceMs) + "}");
 
     std::string Stats, Error;
     if (!fetchStats(D.port(), Stats, Error)) {
@@ -918,14 +1110,14 @@ void runDaemonWorkload(const Options &O, Report &R, bool Warm) {
     R.note("failed_ratio (ratio): " +
            formatDouble(Attempted ? double(Failed) / Attempted : 0) +
            " of " + std::to_string(Attempted) + " requests");
-    R.add("setup_s", quantile(SetupS, 0.25), "s");
+    R.add("setup_s", SetupS, "s");
     R.add("loop_run_ms", geomean(LoopMed), "ms");
     R.add("vec_run_ms", geomean(VecMed), "ms");
-    // Completions per second of each half-second slice; the upper
-    // quartile over slices, the rate the daemon sustains when the host is
-    // not stalling it (on the reference host slices of one run vary 2x).
-    R.add("throughput_rps", quantile(CL.SliceRps, 0.75), "1/s");
-    R.add("req_ms_p50", quantile(OL.LatMs, 0.5), "ms");
+    // Completions per second of each half-second closed-loop slice, and
+    // the median latency of each one-second open-loop slice, at the
+    // reference host speed; each the median over slices.
+    R.add("throughput_rps", median(RpsAtRef), "1/s");
+    R.add("req_ms_p50", median(P50AtRef), "ms");
     R.add("peak_rss_mb", Rss, "MB");
     return;
   }

@@ -32,14 +32,15 @@ def build_dir():
 
 
 def build():
-    """Configures (once) and builds mvec_bench and mvecd; returns their paths."""
+    """Configures (once) and builds mvec_bench (with its mvec_bench_spawn)
+    and mvecd; returns the paths of mvec_bench and mvecd."""
     out = os.path.join(build_dir(), "cmake")
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
     steps = []
     if not os.path.exists(os.path.join(out, "CMakeCache.txt")):
         steps.append(["cmake", "-S", HERE, "-B", out, "-DCMAKE_BUILD_TYPE=Release"])
-    steps.append(["cmake", "--build", out, "--target", "mvec_bench", "mvecd",
-                  "-j", jobs])
+    steps.append(["cmake", "--build", out, "--target", "mvec_bench",
+                  "mvec_bench_spawn", "mvecd", "-j", jobs])
     for cmd in steps:
         if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode:
             sys.exit("run.py: build step failed: " + " ".join(cmd))
