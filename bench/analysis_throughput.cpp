@@ -37,7 +37,8 @@ std::string syntheticProgram(int NumLoops) {
   std::string Source = "n = 16;\nx = rand(1,n); y = rand(1,n);\n"
                        "%! x(1,*) y(1,*)\n";
   for (int I = 0; I != NumLoops; ++I) {
-    std::string Z = "z" + std::to_string(I);
+    std::string Z = "z";
+    Z += std::to_string(I);
     Source += "%! " + Z + "(1,*)\n";
     Source += Z + " = zeros(1,n);\n";
     Source += "for i=1:n\n  " + Z + "(i) = " + std::to_string(I + 1) +

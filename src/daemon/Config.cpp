@@ -6,10 +6,12 @@
 
 #include "daemon/Config.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+using namespace mvec;
 using namespace mvec::daemon;
 
 namespace {
@@ -35,6 +37,54 @@ bool parseDouble(const std::string &V, double &Out) {
 }
 
 } // namespace
+
+ShardConfig mvec::daemon::shardConfig(const DaemonConfig &C) {
+  ShardConfig S;
+  S.Workers = C.WorkersPerShard;
+  S.CacheCapacity = C.CacheCapacity;
+  S.NestCacheCapacity = C.NestCacheCapacity;
+  S.MaxQueueDepth = C.MaxQueueDepth;
+  S.Engine = C.Engine;
+  S.CostModel = C.CostModel;
+  S.CostProfile = C.CostProfile;
+  S.StoreDir = C.StoreDir;
+  S.StoreMaxBytes = C.StoreMaxBytes;
+  S.Isolation = C.Isolation;
+  S.MemoryLimitMB = C.WorkerMemoryMB;
+  S.CpuLimitSeconds = C.WorkerCpuSeconds;
+  S.HeartbeatIntervalMs = C.HeartbeatIntervalMs;
+  S.HeartbeatTimeoutMs = C.HeartbeatTimeoutMs;
+  S.QuarantineDir = C.QuarantineDir;
+  S.TestHooks = C.SandboxTestHooks;
+  S.Faults = C.Faults;
+  return S;
+}
+
+ShardService mvec::daemon::makeShardService(const ShardConfig &S,
+                                            ResultStore *Store,
+                                            const std::string &LogTag) {
+  ShardService Out;
+  if (S.CostModel == "on") {
+    std::string Diag;
+    Out.Cost = std::make_unique<cost::CostModel>(
+        cost::loadCostProfileOrDefault(S.CostProfile, Diag));
+    if (!Diag.empty())
+      std::fprintf(stderr, "%s: %s\n", LogTag.c_str(), Diag.c_str());
+  }
+  ServiceConfig &SC = Out.Config;
+  SC.Workers = S.Workers;
+  // The daemon's in-flight gate (MaxQueueDepth) fires before the pool
+  // queue can fill, so submit() never blocks a protocol thread on
+  // back-pressure.
+  SC.QueueCapacity = S.MaxQueueDepth + S.Workers + 8;
+  SC.CacheCapacity = S.CacheCapacity;
+  SC.NestCacheCapacity = S.NestCacheCapacity;
+  SC.Store = Store;
+  SC.Faults = S.Faults;
+  SC.Engine = S.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
+  SC.Cost = Out.Cost.get();
+  return Out;
+}
 
 bool mvec::daemon::parseDaemonConfig(const std::string &Text,
                                      DaemonConfig &Out, std::string &Error) {
@@ -80,8 +130,6 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
       C.DeadlineMs = static_cast<unsigned>(U);
     else if (Key == "engine" && (Value == "ast" || Value == "vm"))
       C.Engine = Value;
-    else if (Key == "code_cache_capacity" && parseUnsigned(Value, U))
-      C.CodeCacheCapacity = U;
     else if (Key == "cost_model" && (Value == "off" || Value == "on"))
       C.CostModel = Value;
     else if (Key == "cost_profile")
@@ -141,7 +189,6 @@ std::string mvec::daemon::daemonConfigText(const DaemonConfig &Config) {
       << "tenant_burst = " << Config.TenantBurst << "\n"
       << "deadline_ms = " << Config.DeadlineMs << "\n"
       << "engine = " << Config.Engine << "\n"
-      << "code_cache_capacity = " << Config.CodeCacheCapacity << "\n"
       << "cost_model = " << Config.CostModel << "\n"
       << "cost_profile = " << Config.CostProfile << "\n"
       << "isolation = " << Config.Isolation << "\n"

@@ -16,16 +16,20 @@
 ///   tenant_burst = 64
 ///
 /// Reload semantics are defined by Daemon::reload(): QoS limits, queue
-/// depth and deadline apply instantly; shard/worker/cache-size changes
-/// swap in a fresh shard fleet while every in-flight job completes on the
-/// old one (nothing is dropped).
+/// depth and deadline apply instantly; a change to the shard count, the
+/// store or any ShardConfig field swaps in a fresh shard fleet while
+/// every in-flight job completes on the old one (nothing is dropped).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MVEC_DAEMON_CONFIG_H
 #define MVEC_DAEMON_CONFIG_H
 
+#include "cost/CostModel.h"
+#include "service/VectorizationService.h"
+
 #include <cstddef>
+#include <memory>
 #include <string>
 
 namespace mvec {
@@ -57,11 +61,10 @@ struct DaemonConfig {
   /// Default per-request deadline in ms (0 = none).
   unsigned DeadlineMs = 10000;
   /// Execution tier for differential validation: "ast" (tree-walker) or
-  /// "vm" (register bytecode; compiled programs are cached per shard and
-  /// persisted beside results when a store_dir is configured).
+  /// "vm" (register bytecode; compiled programs are cached in memory per
+  /// shard service and never persisted). Hot-reloadable; a change swaps
+  /// in a fresh shard fleet.
   std::string Engine = "ast";
-  /// Per-shard compiled-program cache entries (vm engine only).
-  size_t CodeCacheCapacity = 64;
   /// Profitability cost model: "off" vectorizes whenever legal, "on"
   /// consults the model (built-in conservative profile unless
   /// cost_profile names a calibrated costs.mvec.json). Hot-reloadable;
@@ -103,6 +106,73 @@ struct DaemonConfig {
   /// settable from a config file). Must outlive the daemon.
   const FaultPlan *Faults = nullptr;
 };
+
+/// The fields one shard is built from: its VectorizationService (in the
+/// daemon, or in each sandbox worker) and, with isolation = process, its
+/// worker processes. shardConfig() is the only place these are copied
+/// out of a DaemonConfig, and Daemon::reload() rebuilds the fleet exactly
+/// when this struct, the shard count or the store changes.
+struct ShardConfig {
+  /// Service threads per shard in process, or worker processes per shard
+  /// with process isolation.
+  unsigned Workers = 2;
+  size_t CacheCapacity = 512;
+  size_t NestCacheCapacity = 1024;
+  /// Sizes the in-process service queue beyond the in-flight gate.
+  size_t MaxQueueDepth = 96;
+  std::string Engine = "ast"; ///< "ast" or "vm"
+  std::string CostModel = "off";
+  std::string CostProfile;
+  /// The shared DiskStore directory. A sandbox worker opens its own
+  /// handle with SweepTmps=false (rename(2) atomicity makes concurrent
+  /// writers safe; pid-qualified tmp names make them collision-free).
+  /// Empty = memory tiers only.
+  std::string StoreDir;
+  size_t StoreMaxBytes = size_t(256) << 20;
+  std::string Isolation = "inproc"; ///< "inproc" or "process"
+  /// RLIMIT_AS per worker in MiB (0 = unlimited). Exhaustion surfaces as
+  /// bad_alloc inside the worker (folded into a failed/degraded job
+  /// result, or an abort if it strikes outside the service) — the
+  /// kernel OOM killer path is SIGKILL and classified oom-kill.
+  size_t MemoryLimitMB = 0;
+  /// RLIMIT_CPU per worker in seconds, cumulative over the worker's
+  /// lifetime (0 = unlimited). Exceeding it delivers SIGXCPU.
+  unsigned CpuLimitSeconds = 0;
+  /// How often the supervisor PINGs idle workers.
+  unsigned HeartbeatIntervalMs = 250;
+  /// An idle worker that does not answer a PING within this budget is
+  /// SIGKILLed; also the grace added on top of a request's deadline
+  /// before a busy worker is declared stuck.
+  unsigned HeartbeatTimeoutMs = 2000;
+  /// Where crash-inducing inputs are written (empty disables
+  /// quarantine). See sandbox/Quarantine.h for the file format.
+  std::string QuarantineDir = "corpus/quarantine";
+  /// Honor `%!sandbox-crash` / `%!sandbox-spin` / `%!sandbox-oom`
+  /// markers in request bodies (crash-campaign hook; never set in
+  /// production configurations).
+  bool TestHooks = false;
+  /// Fault-injection plan armed in the shard's service (test hook).
+  const FaultPlan *Faults = nullptr;
+
+  bool operator==(const ShardConfig &) const = default;
+};
+
+/// The shard fields of \p C.
+ShardConfig shardConfig(const DaemonConfig &C);
+
+/// What a shard's VectorizationService is constructed from. Config.Cost
+/// points into Cost, so keep the two together.
+struct ShardService {
+  std::unique_ptr<cost::CostModel> Cost; ///< null with cost_model = off
+  ServiceConfig Config;
+};
+
+/// Builds the service of shard \p S: Workers threads, results cached
+/// through \p Store (may be null), and the cost model S names. A cost
+/// profile that fails to load falls back to the defaults with a
+/// diagnostic on stderr, prefixed by \p LogTag.
+ShardService makeShardService(const ShardConfig &S, ResultStore *Store,
+                              const std::string &LogTag);
 
 /// Parses `key = value` \p Text into \p Out (starting from \p Out's
 /// current values, so a partial file only overrides what it names).

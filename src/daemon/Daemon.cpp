@@ -9,7 +9,6 @@
 #include "interp/simd/SimdDispatch.h"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <thread>
 
@@ -40,28 +39,15 @@ Daemon::~Daemon() {
 
 std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
   auto F = std::make_shared<Fleet>();
-  if (C.Isolation == "process") {
+  ShardConfig Cfg = shardConfig(C);
+  F->Shards.reserve(C.Shards);
+  if (Cfg.Isolation == "process") {
     // Each shard becomes a pool of forked workers; every worker builds
     // its own service (and cost model) after the fork, so the parent
     // fleet carries no in-process execution state at all.
     sandbox::SandboxConfig SC;
-    SC.Workers = C.WorkersPerShard;
-    SC.CacheCapacity = C.CacheCapacity;
-    SC.NestCacheCapacity = C.NestCacheCapacity;
-    SC.CodeCacheCapacity = C.CodeCacheCapacity;
-    SC.Engine = C.Engine;
-    SC.CostModel = C.CostModel;
-    SC.CostProfile = C.CostProfile;
-    SC.StoreDir = C.StoreDir;
-    SC.StoreMaxBytes = C.StoreMaxBytes;
-    SC.DeadlineMs = C.DeadlineMs;
-    SC.MemoryLimitMB = C.WorkerMemoryMB;
-    SC.CpuLimitSeconds = C.WorkerCpuSeconds;
-    SC.HeartbeatIntervalMs = C.HeartbeatIntervalMs;
-    SC.HeartbeatTimeoutMs = C.HeartbeatTimeoutMs;
-    SC.QuarantineDir = C.QuarantineDir;
-    SC.TestHooks = C.SandboxTestHooks;
-    F->Shards.reserve(C.Shards);
+    SC.Workers = Cfg.Workers;
+    SC.Shard = Cfg;
     for (unsigned I = 0; I != C.Shards; ++I) {
       auto S = std::make_unique<Shard>();
       S->Sandbox = std::make_unique<sandbox::SandboxPool>(SC);
@@ -69,29 +55,11 @@ std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
     }
     return F;
   }
-  if (C.CostModel == "on") {
-    std::string Diag;
-    F->Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(C.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvecd: %s\n", Diag.c_str());
-  }
-  F->Shards.reserve(C.Shards);
+  ShardService Built = makeShardService(Cfg, Store.get(), "mvecd");
+  F->Cost = std::move(Built.Cost);
   for (unsigned I = 0; I != C.Shards; ++I) {
-    ServiceConfig SC;
-    SC.Workers = C.WorkersPerShard;
-    // The in-flight gate (MaxQueueDepth) fires before the pool queue can
-    // fill, so submit() never blocks a protocol thread on back-pressure.
-    SC.QueueCapacity = C.MaxQueueDepth + C.WorkersPerShard + 8;
-    SC.CacheCapacity = C.CacheCapacity;
-    SC.NestCacheCapacity = C.NestCacheCapacity;
-    SC.Store = Store.get();
-    SC.Faults = C.Faults;
-    SC.Engine = C.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
-    SC.CodeCacheCapacity = C.CodeCacheCapacity;
-    SC.Cost = F->Cost.get();
     auto S = std::make_unique<Shard>();
-    S->Service = std::make_unique<VectorizationService>(SC);
+    S->Service = std::make_unique<VectorizationService>(Built.Config);
     F->Shards.push_back(std::move(S));
   }
   return F;
@@ -272,25 +240,11 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
 
   bool StoreChanged = Applied.StoreDir != Config.StoreDir ||
                       Applied.StoreMaxBytes != Config.StoreMaxBytes;
+  // Every shard field is baked into the services (or worker processes)
+  // at build time; a cost-model change also re-fingerprints every cache
+  // key, so the memory tiers must be rebuilt anyway.
   bool FleetChanged = StoreChanged || Applied.Shards != Config.Shards ||
-                      Applied.WorkersPerShard != Config.WorkersPerShard ||
-                      Applied.CacheCapacity != Config.CacheCapacity ||
-                      Applied.NestCacheCapacity != Config.NestCacheCapacity ||
-                      Applied.MaxQueueDepth != Config.MaxQueueDepth ||
-                      // A cost-model change re-fingerprints every cache
-                      // key, so the memory tiers must be rebuilt anyway.
-                      Applied.CostModel != Config.CostModel ||
-                      Applied.CostProfile != Config.CostProfile ||
-                      // Isolation and the sandbox knobs are baked into
-                      // the worker processes at spawn time.
-                      Applied.Isolation != Config.Isolation ||
-                      Applied.WorkerMemoryMB != Config.WorkerMemoryMB ||
-                      Applied.WorkerCpuSeconds != Config.WorkerCpuSeconds ||
-                      Applied.HeartbeatIntervalMs !=
-                          Config.HeartbeatIntervalMs ||
-                      Applied.HeartbeatTimeoutMs != Config.HeartbeatTimeoutMs ||
-                      Applied.QuarantineDir != Config.QuarantineDir ||
-                      Applied.SandboxTestHooks != Config.SandboxTestHooks;
+                      shardConfig(Applied) != shardConfig(Config);
 
   if (FleetChanged) {
     // The old store must outlive the old fleet (its services hold a raw

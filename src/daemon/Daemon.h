@@ -23,9 +23,10 @@
 /// success, byte-exact original otherwise).
 ///
 /// Hot reload: reload() applies QoS limits, queue depth and deadline
-/// instantly (atomics); shard-count/worker/cache-size changes build a
-/// fresh shard fleet and retire the old one only after its in-flight jobs
-/// complete (the old services drain; nothing is dropped). The disk store
+/// instantly (atomics); a change to the shard count, the store or any
+/// ShardConfig field (see Config.h) builds a fresh shard fleet and
+/// retires the old one only after its in-flight jobs complete (the old
+/// services drain; nothing is dropped). The disk store
 /// survives reloads, so the new fleet warms from it immediately.
 ///
 //===----------------------------------------------------------------------===//

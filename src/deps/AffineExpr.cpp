@@ -118,7 +118,12 @@ ExprPtr AffineExpr::toExpr() const {
 
 std::string AffineExpr::str() const {
   std::string Out = formatMatlabNumber(Constant);
-  for (const auto &[Name, Coeff] : Coeffs)
-    Out += (Coeff >= 0 ? "+" : "") + formatMatlabNumber(Coeff) + "*" + Name;
+  for (const auto &[Name, Coeff] : Coeffs) {
+    if (Coeff >= 0)
+      Out += '+';
+    Out += formatMatlabNumber(Coeff);
+    Out += '*';
+    Out += Name;
+  }
   return Out;
 }

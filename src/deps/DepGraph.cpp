@@ -26,10 +26,22 @@ const char *mvec::depKindName(DepKind Kind) {
 std::string DepGraph::str() const {
   std::string Out;
   for (const DepEdge &E : Edges) {
-    Out += "S" + std::to_string(E.Src) + " -> S" + std::to_string(E.Dst) +
-           " [" + depKindName(E.Kind) + ", ";
-    Out += E.Level == 0 ? "independent" : "level " + std::to_string(E.Level);
-    Out += ", " + E.Variable + "]\n";
+    Out += 'S';
+    Out += std::to_string(E.Src);
+    Out += " -> S";
+    Out += std::to_string(E.Dst);
+    Out += " [";
+    Out += depKindName(E.Kind);
+    Out += ", ";
+    if (E.Level == 0) {
+      Out += "independent";
+    } else {
+      Out += "level ";
+      Out += std::to_string(E.Level);
+    }
+    Out += ", ";
+    Out += E.Variable;
+    Out += "]\n";
   }
   return Out;
 }

@@ -140,8 +140,10 @@ GenProgram Generator::affineAccess() {
   int Size = 2 * (Start + Step * (Trip - 1)) + 4;
   auto Affine = [&](int A, int B) {
     std::string S = A == 1 ? "i" : num(A) + "*i";
-    if (B != 0)
-      S += "+" + num(B);
+    if (B != 0) {
+      S += '+';
+      S += num(B);
+    }
     return S;
   };
   int Stop = Start + Step * (Trip - 1);

@@ -127,8 +127,11 @@ std::string Value::str() const {
     return "[]";
   if (isScalar())
     return formatMatlabNumber(raw()[0]);
-  std::string Out = "[" + std::to_string(NumRows) + "x" +
-                    std::to_string(NumCols) + "]";
+  std::string Out = "[";
+  Out += std::to_string(NumRows);
+  Out += 'x';
+  Out += std::to_string(NumCols);
+  Out += ']';
   if (numel() <= 16) {
     Out += " [";
     for (size_t R = 0; R != NumRows; ++R) {

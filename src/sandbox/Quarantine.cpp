@@ -29,7 +29,7 @@ std::string mvec::sandbox::quarantinePath(const std::string &Dir,
 bool mvec::sandbox::quarantineInput(const std::string &Dir, uint64_t Key,
                                     const std::string &Body,
                                     const QuarantineRecord &Rec,
-                                    const SandboxConfig &Config) {
+                                    const daemon::ShardConfig &Shard) {
   if (Dir.empty())
     return false;
   std::error_code EC;
@@ -44,10 +44,10 @@ bool mvec::sandbox::quarantineInput(const std::string &Dir, uint64_t Key,
       << "% cause: " << workerFailureName(Rec.Cause) << "\n"
       << "% signal: " << Rec.Signal << "\n"
       << "% exit: " << Rec.ExitCode << "\n"
-      << "% engine: " << Config.Engine << "\n"
-      << "% cost_model: " << Config.CostModel << "\n"
+      << "% engine: " << Shard.Engine << "\n"
+      << "% cost_model: " << Shard.CostModel << "\n"
       << "% cost_profile: "
-      << (Config.CostProfile.empty() ? "-" : Config.CostProfile) << "\n"
+      << (Shard.CostProfile.empty() ? "-" : Shard.CostProfile) << "\n"
       << "% isa: " << simd::levelName(simd::activeLevel()) << "\n"
       << "% name: " << (Rec.Name.empty() ? "-" : Rec.Name) << "\n"
       << "% validate: " << (Rec.Validate ? 1 : 0) << "\n"

@@ -53,13 +53,14 @@ struct QuarantineRecord {
   bool Validate = true;
 };
 
-/// Writes \p Body under \p Dir (created on demand) keyed by \p Key.
-/// Returns true when a NEW quarantine file was published; false when the
-/// key was already quarantined or any I/O failed. Thread-safe across
-/// threads and processes (tmp+rename).
+/// Writes \p Body under \p Dir (created on demand) keyed by \p Key; the
+/// header records \p Shard's engine and cost model. Returns true when a
+/// NEW quarantine file was published; false when the key was already
+/// quarantined or any I/O failed. Thread-safe across threads and
+/// processes (tmp+rename).
 bool quarantineInput(const std::string &Dir, uint64_t Key,
                      const std::string &Body, const QuarantineRecord &Rec,
-                     const SandboxConfig &Config);
+                     const daemon::ShardConfig &Shard);
 
 /// The quarantine path \p Key would be written to.
 std::string quarantinePath(const std::string &Dir, uint64_t Key);

@@ -14,6 +14,11 @@
 /// workers with jittered backoff. A genuine SIGSEGV, OOM kill, or
 /// infinite loop then costs one worker process — never the daemon.
 ///
+/// A worker builds its service from the shard's daemon::ShardConfig
+/// through daemon::makeShardService, the same path an in-process shard
+/// takes; SandboxConfig adds only the pool size and the supervisor's
+/// respawn and crash-loop policy.
+///
 /// Failure taxonomy (WorkerFailure): every way a worker can stop serving
 /// is classified so metrics, quarantine headers, and logs agree on
 /// vocabulary:
@@ -40,11 +45,9 @@
 #ifndef MVEC_SANDBOX_SANDBOX_H
 #define MVEC_SANDBOX_SANDBOX_H
 
+#include "daemon/Config.h"
 #include "resilience/Backoff.h"
 #include "resilience/CircuitBreaker.h"
-
-#include <cstddef>
-#include <string>
 
 namespace mvec {
 namespace sandbox {
@@ -61,50 +64,15 @@ enum class WorkerFailure {
 
 const char *workerFailureName(WorkerFailure F);
 
+/// One shard's worker pool: how many workers, what each one is built
+/// from, and how the supervisor respawns them.
 struct SandboxConfig {
   /// Worker processes in the pool (one shard's worth; clamped >= 1).
   unsigned Workers = 2;
-
-  // --- The service each worker runs (mirrors the shard's in-process
-  // ServiceConfig; see Daemon::makeFleet) ---
-  size_t CacheCapacity = 512;
-  size_t NestCacheCapacity = 1024;
-  size_t CodeCacheCapacity = 64;
-  std::string Engine = "ast"; ///< "ast" or "vm"
-  std::string CostModel = "off";
-  std::string CostProfile;
-  /// Directory of the shared DiskStore; each worker opens its own handle
-  /// with SweepTmps=false (rename(2) atomicity makes concurrent writers
-  /// safe; pid-qualified tmp names make them collision-free). Empty =
-  /// memory tiers only.
-  std::string StoreDir;
-  size_t StoreMaxBytes = size_t(256) << 20;
-  /// Default per-job deadline applied inside the worker when a request
-  /// carries none.
-  unsigned DeadlineMs = 10000;
-
-  // --- Containment ---
-  /// RLIMIT_AS per worker in MiB (0 = unlimited). Exhaustion surfaces as
-  /// bad_alloc inside the worker (folded into a failed/degraded job
-  /// result, or an abort if it strikes outside the service) — the
-  /// kernel OOM killer path is SIGKILL and classified oom-kill.
-  size_t MemoryLimitMB = 0;
-  /// RLIMIT_CPU per worker in seconds, cumulative over the worker's
-  /// lifetime (0 = unlimited). Exceeding it delivers SIGXCPU.
-  unsigned CpuLimitSeconds = 0;
-  /// How often the supervisor PINGs idle workers.
-  unsigned HeartbeatIntervalMs = 250;
-  /// An idle worker that does not answer a PING within this budget is
-  /// SIGKILLed; also the grace added on top of a request's deadline
-  /// before a busy worker is declared stuck.
-  unsigned HeartbeatTimeoutMs = 2000;
-  /// Where crash-inducing inputs are written (empty disables
-  /// quarantine). See Quarantine.h for the file format.
-  std::string QuarantineDir = "corpus/quarantine";
-  /// Honor `%!sandbox-crash` / `%!sandbox-spin` / `%!sandbox-oom`
-  /// markers in request bodies (crash-campaign hook; never set in
-  /// production configurations).
-  bool TestHooks = false;
+  /// The service each worker runs and the limits it runs under; the same
+  /// fields (and the same makeShardService) an in-process shard is built
+  /// from, so the two placements cannot drift apart.
+  daemon::ShardConfig Shard;
   /// Backoff between respawn attempts of one worker slot; the retry
   /// number is the slot's consecutive-failure streak, so a crash-looping
   /// slot backs off exponentially while a one-off crash respawns almost

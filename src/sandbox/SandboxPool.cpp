@@ -181,6 +181,7 @@ void SandboxPool::retireWorker(Slot &S, const WorkerFailure *Forced,
     if (Forced)
       ::kill(S.Proc.Pid, SIGKILL);
     Status = reapWithDeadline(S.Proc.Pid, Forced ? 0 : 200);
+    std::lock_guard<std::mutex> Lock(Mutex); // workerPids() reads Pid.
     S.Proc.Pid = -1;
   }
   Fail = classifyStatus(Status, Signal, ExitCode);
@@ -267,9 +268,9 @@ bool SandboxPool::handle(const Request &R, uint64_t Key, Response &Out,
     return false;
   }
   Metrics.JobsSubmitted.fetch_add(1, std::memory_order_relaxed);
-  unsigned BudgetMs = R.DeadlineMs ? R.DeadlineMs : Config.DeadlineMs;
-  if (BudgetMs == 0)
-    BudgetMs = 600000; // No deadline: still bound the watchdog somewhere.
+  // The daemon forwards every request with its deadline resolved; zero
+  // means none, but the watchdog still needs a bound.
+  unsigned BudgetMs = R.DeadlineMs ? R.DeadlineMs : 600000;
   Clock::time_point Start = Clock::now();
 
   Slot *S = acquire(std::chrono::milliseconds(BudgetMs));
@@ -284,18 +285,19 @@ bool SandboxPool::handle(const Request &R, uint64_t Key, Response &Out,
   std::string Wire = serializeRequest(R);
   WorkerFailure Fail;
   int Signal, ExitCode;
-  if (!exchange(*S, Wire, BudgetMs + Config.HeartbeatTimeoutMs, Out, Fail,
-                Signal, ExitCode)) {
+  if (!exchange(*S, Wire, BudgetMs + Config.Shard.HeartbeatTimeoutMs, Out,
+                Fail, Signal, ExitCode)) {
     // The slot is already retired and scheduled for respawn. Quarantine
     // the input that did this and feed the crash-loop breaker.
-    if (R.V == Verb::Vec && !Config.QuarantineDir.empty()) {
+    if (R.V == Verb::Vec && !Config.Shard.QuarantineDir.empty()) {
       QuarantineRecord Rec;
       Rec.Cause = Fail;
       Rec.Signal = Signal;
       Rec.ExitCode = ExitCode;
       Rec.Name = R.Name;
       Rec.Validate = R.Validate;
-      if (quarantineInput(Config.QuarantineDir, Key, R.Body, Rec, Config))
+      if (quarantineInput(Config.Shard.QuarantineDir, Key, R.Body, Rec,
+                          Config.Shard))
         Metrics.SandboxQuarantined.fetch_add(1, std::memory_order_relaxed);
     }
     Breaker.recordFailure();
@@ -340,7 +342,7 @@ void SandboxPool::supervise() {
     // wakes from release() notifications just run a cheap extra pass).
     IdleCv.wait_for(Lock,
                     std::chrono::milliseconds(
-                        std::max(1u, Config.HeartbeatIntervalMs)),
+                        std::max(1u, Config.Shard.HeartbeatIntervalMs)),
                     [this] { return Stopping; });
     if (Stopping)
       break;
@@ -378,7 +380,7 @@ void SandboxPool::supervise() {
       auto Quiet = std::chrono::duration_cast<std::chrono::milliseconds>(
                        Clock::now() - S->LastSeen)
                        .count();
-      if (Quiet < static_cast<long long>(Config.HeartbeatIntervalMs))
+      if (Quiet < static_cast<long long>(Config.Shard.HeartbeatIntervalMs))
         continue;
       S->St = Slot::State::Busy;
       Lock.unlock();
@@ -388,8 +390,8 @@ void SandboxPool::supervise() {
       WorkerFailure Fail;
       int Sig, Code;
       bool Ok = exchange(*S, serializeRequest(Ping),
-                         std::max(1u, Config.HeartbeatTimeoutMs), Pong, Fail,
-                         Sig, Code);
+                         std::max(1u, Config.Shard.HeartbeatTimeoutMs), Pong,
+                         Fail, Sig, Code);
       if (Ok)
         release(*S, /*Healthy=*/true);
       // On failure exchange() already retired the slot.

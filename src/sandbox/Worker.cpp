@@ -6,7 +6,6 @@
 
 #include "sandbox/Worker.h"
 
-#include "cost/CostModel.h"
 #include "daemon/DiskStore.h"
 #include "daemon/Protocol.h"
 #include "service/VectorizationService.h"
@@ -174,41 +173,29 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
   closeAllFdsExcept(Fd);
-  if (Config.MemoryLimitMB)
-    applyLimit(RLIMIT_AS, static_cast<rlim_t>(Config.MemoryLimitMB) << 20);
-  if (Config.CpuLimitSeconds)
-    applyLimit(RLIMIT_CPU, Config.CpuLimitSeconds);
+  const ShardConfig &Shard = Config.Shard;
+  if (Shard.MemoryLimitMB)
+    applyLimit(RLIMIT_AS, static_cast<rlim_t>(Shard.MemoryLimitMB) << 20);
+  if (Shard.CpuLimitSeconds)
+    applyLimit(RLIMIT_CPU, Shard.CpuLimitSeconds);
 
   // Everything below is freshly constructed: own caches, own store
   // handle (no boot sweep — a sibling may be mid-write), own cost model.
   std::unique_ptr<DiskStore> Store;
-  if (!Config.StoreDir.empty()) {
+  if (!Shard.StoreDir.empty()) {
     try {
       Store = std::make_unique<DiskStore>(DiskStoreConfig{
-          Config.StoreDir, Config.StoreMaxBytes, /*SweepTmps=*/false});
+          Shard.StoreDir, Shard.StoreMaxBytes, /*SweepTmps=*/false});
     } catch (const std::exception &E) {
       std::fprintf(stderr, "mvec-worker[%d]: store disabled: %s\n",
                    ::getpid(), E.what());
     }
   }
-  std::unique_ptr<cost::CostModel> Cost;
-  if (Config.CostModel == "on") {
-    std::string Diag;
-    Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(Config.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec-worker[%d]: %s\n", ::getpid(), Diag.c_str());
-  }
-  ServiceConfig SC;
-  SC.Workers = 1; // One request in flight per worker process.
-  SC.QueueCapacity = 4;
-  SC.CacheCapacity = Config.CacheCapacity;
-  SC.NestCacheCapacity = Config.NestCacheCapacity;
-  SC.Store = Store.get();
-  SC.Engine = Config.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
-  SC.CodeCacheCapacity = Config.CodeCacheCapacity;
-  SC.Cost = Cost.get();
-  VectorizationService Service(SC);
+  ShardService Built = makeShardService(
+      Shard, Store.get(), "mvec-worker[" + std::to_string(::getpid()) + "]");
+  Built.Config.Workers = 1; // One request in flight per worker process.
+  Built.Config.QueueCapacity = 4;
+  VectorizationService Service(Built.Config);
 
   FrameReader Reader;
   char Buf[16 << 10];
@@ -257,14 +244,13 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
       break;
     case Verb::Vec: {
       std::string Marker;
-      if (Config.TestHooks && findTestHook(Req.Body, Marker))
+      if (Shard.TestHooks && findTestHook(Req.Body, Marker))
         runTestHook(Marker); // noreturn
       JobSpec Spec;
       Spec.Name = Req.Name.empty() ? "request" : Req.Name;
       Spec.Source = Req.Body;
       Spec.Validate = Req.Validate;
-      unsigned Deadline = Req.DeadlineMs ? Req.DeadlineMs : Config.DeadlineMs;
-      Spec.Deadline = std::chrono::milliseconds(Deadline);
+      Spec.Deadline = std::chrono::milliseconds(Req.DeadlineMs);
       JobResult Result = Service.submit(std::move(Spec)).get();
       Resp.Status = jobStatusName(Result.Status);
       Resp.ErrorClass = errorClassName(Result.Class);

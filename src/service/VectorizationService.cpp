@@ -53,8 +53,7 @@ VectorizationService::VectorizationService(ServiceConfig Config)
     DB = &OwnedDB;
   }
   if (Config.Engine == ExecEngine::Vm)
-    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity,
-                                           Config.Store, &Metrics);
+    Code = std::make_unique<vm::CodeCache>(kCodeCacheCapacity, &Metrics);
   Pool = std::make_unique<ThreadPool>(Config.Workers, Config.QueueCapacity);
 }
 

@@ -75,13 +75,10 @@ struct ServiceConfig {
   /// Execution tier for the differential-validation runs: the classic
   /// tree-walker, or the register-bytecode VM (src/vm). Result-cache keys
   /// are salted with the engine so a verdict produced by one tier is
-  /// never served as the other's.
+  /// never served as the other's. The Vm engine keeps its compiled
+  /// programs in a memory-only cache of kCodeCacheCapacity entries;
+  /// nothing about them reaches Store.
   ExecEngine Engine = ExecEngine::Ast;
-  /// Compiled-program (bytecode) cache entries when Engine == Vm; 0
-  /// disables the memory tier. The cache writes serialized programs
-  /// through to Store (when wired), so a restarted daemon re-executes
-  /// warm scripts without re-lowering them.
-  size_t CodeCacheCapacity = 64;
   /// Profitability cost model applied to every job that did not bring its
   /// own (null = vectorize whenever legal). Must outlive the service; its
   /// fingerprint salts every cache tier through optionsFingerprint, so
@@ -125,6 +122,9 @@ public:
   const NestCache &nestCache() const { return NCache; }
   /// Null unless the service runs the Vm engine.
   const vm::CodeCache *codeCache() const { return Code.get(); }
+
+  /// Compiled-program cache entries per service (Vm engine only).
+  static constexpr size_t kCodeCacheCapacity = 64;
 
 private:
   JobResult processJob(const JobSpec &Spec,

@@ -16,8 +16,11 @@ std::string DimSymbol::str() const {
     return "1";
   case Kind::Star:
     return "*";
-  case Kind::Range:
-    return "r" + std::to_string(Loop);
+  case Kind::Range: {
+    std::string Out = "r";
+    Out += std::to_string(Loop);
+    return Out;
+  }
   }
   return "?";
 }

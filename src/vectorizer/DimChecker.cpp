@@ -804,8 +804,10 @@ std::optional<CheckedExpr> DimChecker::checkMulChain(const BinaryExpr &E) {
 
   auto Signature = [](const CheckedExpr &C) {
     std::string Sig = C.Dims.str();
-    for (LoopId Loop : C.Rho)
-      Sig += "|" + std::to_string(Loop);
+    for (LoopId Loop : C.Rho) {
+      Sig += '|';
+      Sig += std::to_string(Loop);
+    }
     return Sig;
   };
 

@@ -8,9 +8,9 @@
 /// The compiled-program representation of the mvec::vm execution tier: a
 /// register-based instruction stream lowered from a prepared AST, plus the
 /// pools it references (doubles, strings, variable names, for-loop
-/// metadata). The format is deliberately flat and position-independent:
-/// variables are *name* indices bound to workspace slots at execution time,
-/// so a program serialized by one process executes in another.
+/// metadata). The format is deliberately flat: variables are *name*
+/// indices bound to workspace slots at execution time, so one compiled
+/// program runs against any interpreter's workspace.
 ///
 /// Register discipline: the compiler allocates registers as an expression
 /// stack (destination first, operand temporaries above it) and restores the
@@ -44,9 +44,9 @@
 namespace mvec {
 namespace vm {
 
-/// One opcode per primitive step the tree-walker performs. Keep the order
-/// stable: the numeric value is part of the serialized format (bump
-/// kBytecodeFormatVersion in Serialize.h when it changes).
+/// One opcode per primitive step the tree-walker performs. The opInfo
+/// table in Bytecode.cpp is indexed by the numeric value, so keep the two
+/// in the same order.
 enum class Op : uint8_t {
   Halt,       ///< stop execution (program end / return / top-level break)
   Step,       ///< per-statement accounting: step limit, poll, fault site
@@ -175,8 +175,6 @@ struct CompiledProgram {
   std::vector<ForInfo> ForInfos;
   std::vector<Instr> Instrs;
   uint32_t NumRegs = 0;
-  /// FNV-1a hash of the source this program was lowered from.
-  uint64_t SourceHash = 0;
 };
 
 /// How the disassembler/validator interpret one operand field.

@@ -6,27 +6,24 @@
 
 #include "vm/CodeCache.h"
 
-#include "service/ResultStore.h"
 #include "service/ServiceMetrics.h"
 #include "support/ContentHash.h"
 #include "vm/Compiler.h"
-#include "vm/Serialize.h"
 
 #include <chrono>
 
 using namespace mvec;
 using namespace mvec::vm;
 
-CodeCache::CodeCache(size_t Capacity, ResultStore *Disk,
-                     ServiceMetrics *Metrics)
-    : Capacity(Capacity), Disk(Disk), Metrics(Metrics) {}
+CodeCache::CodeCache(size_t Capacity, ServiceMetrics *Metrics)
+    : Capacity(Capacity), Metrics(Metrics) {}
 
 size_t CodeCache::size() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return LRU.size();
 }
 
-std::shared_ptr<const CompiledProgram> CodeCache::lookupMemory(uint64_t Key) {
+std::shared_ptr<const CompiledProgram> CodeCache::lookup(uint64_t Key) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It == Index.end())
@@ -35,8 +32,8 @@ std::shared_ptr<const CompiledProgram> CodeCache::lookupMemory(uint64_t Key) {
   return LRU.front().second;
 }
 
-void CodeCache::insertMemory(uint64_t Key,
-                             const std::shared_ptr<const CompiledProgram> &CP) {
+void CodeCache::insert(uint64_t Key,
+                       const std::shared_ptr<const CompiledProgram> &CP) {
   if (Capacity == 0)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
@@ -57,32 +54,12 @@ void CodeCache::insertMemory(uint64_t Key,
 
 std::shared_ptr<const CompiledProgram>
 CodeCache::obtain(const std::string &Source, const Program &P) {
-  uint64_t Key = codeKeyFor(Source);
-  if (auto CP = lookupMemory(Key)) {
+  uint64_t Key = fnv1aHash(Source);
+  if (auto CP = lookup(Key)) {
     Hits.fetch_add(1, std::memory_order_relaxed);
     if (Metrics)
       Metrics->CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
     return CP;
-  }
-
-  // Second tier: persisted bytecode. Corruption of any kind — failed
-  // deserialization, a wrong status, a source-hash mismatch — is a miss.
-  if (Disk) {
-    if (auto Stored = Disk->load(Key)) {
-      if (Stored->Status == JobStatus::Succeeded) {
-        if (auto Decoded = deserializeProgram(Stored->VectorizedSource)) {
-          if (Decoded->SourceHash == fnv1aHash(Source)) {
-            auto CP = std::make_shared<const CompiledProgram>(
-                std::move(*Decoded));
-            Hits.fetch_add(1, std::memory_order_relaxed);
-            if (Metrics)
-              Metrics->CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
-            insertMemory(Key, CP);
-            return CP;
-          }
-        }
-      }
-    }
   }
 
   Misses.fetch_add(1, std::memory_order_relaxed);
@@ -94,19 +71,11 @@ CodeCache::obtain(const std::string &Source, const Program &P) {
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  Compiles.fetch_add(1, std::memory_order_relaxed);
   if (Metrics) {
     Metrics->BytecodeCompiles.fetch_add(1, std::memory_order_relaxed);
     Metrics->CompileLatency.record(Seconds);
   }
 
-  insertMemory(Key, CP);
-  if (Disk) {
-    JobResult Result;
-    Result.Status = JobStatus::Succeeded;
-    Result.Name = "bytecode";
-    Result.VectorizedSource = serializeProgram(*CP);
-    Disk->store(Key, Result);
-  }
+  insert(Key, CP);
   return CP;
 }

@@ -6,13 +6,10 @@
 ///
 /// \file
 /// The "warm path all the way down" piece: compiled programs cached by
-/// source content. Two tiers, mirroring the service's result cache — an
-/// in-memory LRU of shared immutable programs, and an optional
-/// write-through to the service's ResultStore so a daemon's DiskStore
-/// persists bytecode beside results and a restarted shard re-executes
-/// without re-lowering. Keys come from codeKeyFor (source hash x format
-/// version); a persisted entry that fails deserialization or hash check
-/// is silently a miss.
+/// source content, in one in-memory LRU of shared immutable programs
+/// keyed by the FNV-1a hash of the source. Nothing is persisted: a
+/// restarted shard lowers each script once more, which BENCH_vm.json puts
+/// at 5-19% of one warm run of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +28,6 @@
 
 namespace mvec {
 
-class ResultStore;
 struct Program;
 struct ServiceMetrics;
 
@@ -39,14 +35,12 @@ namespace vm {
 
 class CodeCache {
 public:
-  /// \p Capacity bounds the in-memory tier (0 disables it; programs are
-  /// still served, compiled per call or loaded from \p Disk). \p Disk and
-  /// \p Metrics may be null; neither is owned.
-  explicit CodeCache(size_t Capacity, ResultStore *Disk = nullptr,
-                     ServiceMetrics *Metrics = nullptr);
+  /// \p Capacity bounds the cache (0 disables it; programs are still
+  /// served, compiled per call). \p Metrics may be null and is not owned.
+  explicit CodeCache(size_t Capacity, ServiceMetrics *Metrics = nullptr);
 
-  /// Returns the compiled form of \p Source, from memory, disk, or a
-  /// fresh lowering of \p P (which must be the parse of \p Source).
+  /// Returns the compiled form of \p Source, from the cache or a fresh
+  /// lowering of \p P (which must be the parse of \p Source).
   /// Thread-safe; the returned program is immutable and shared.
   std::shared_ptr<const CompiledProgram> obtain(const std::string &Source,
                                                 const Program &P);
@@ -54,24 +48,20 @@ public:
   size_t size() const;
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t compiles() const { return Compiles.load(std::memory_order_relaxed); }
 
 private:
   using Entry = std::pair<uint64_t, std::shared_ptr<const CompiledProgram>>;
 
-  std::shared_ptr<const CompiledProgram> lookupMemory(uint64_t Key);
-  void insertMemory(uint64_t Key,
-                    const std::shared_ptr<const CompiledProgram> &CP);
+  std::shared_ptr<const CompiledProgram> lookup(uint64_t Key);
+  void insert(uint64_t Key, const std::shared_ptr<const CompiledProgram> &CP);
 
   mutable std::mutex Mu;
   size_t Capacity;
   std::list<Entry> LRU; ///< front = most recent
   std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;
-  ResultStore *Disk;
   ServiceMetrics *Metrics;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Compiles{0};
 };
 
 } // namespace vm

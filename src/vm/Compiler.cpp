@@ -37,8 +37,6 @@
 #include "vm/Compiler.h"
 
 #include "frontend/ASTUtils.h"
-#include "support/ContentHash.h"
-
 #include <cstring>
 #include <unordered_map>
 
@@ -49,12 +47,11 @@ namespace {
 
 class Compiler {
 public:
-  CompiledProgram compile(const Program &P, const std::string &Source) {
+  CompiledProgram compile(const Program &P) {
     for (const StmtPtr &S : P.Stmts)
       compileStmt(*S);
     emit(Op::Halt, 0, 0, 0, 0, 0, SourceLoc());
     CP.NumRegs = static_cast<uint32_t>(MaxTop);
-    CP.SourceHash = fnv1aHash(Source);
     return std::move(CP);
   }
 
@@ -719,6 +716,6 @@ private:
 } // namespace
 
 CompiledProgram vm::compileProgram(const Program &P,
-                                   const std::string &Source) {
-  return Compiler().compile(P, Source);
+                                   const std::string & /*Source*/) {
+  return Compiler().compile(P);
 }

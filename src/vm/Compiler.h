@@ -9,8 +9,8 @@
 /// program that parses compiles, with statically detectable runtime errors
 /// (':' outside a subscript, N-d indexing, ...) lowered to Fail
 /// instructions carrying the exact message and location the tree-walker
-/// would produce. Compilation is deterministic — same source, same bytes —
-/// which is what lets the CodeCache content-address compiled programs by
+/// would produce. Compilation is deterministic — same source, same
+/// program — which is what lets the CodeCache address compiled programs by
 /// source hash alone.
 ///
 //===----------------------------------------------------------------------===//
@@ -26,8 +26,9 @@
 namespace mvec {
 namespace vm {
 
-/// Lowers \p P to bytecode. \p Source is the text \p P was parsed from;
-/// it is hashed into CompiledProgram::SourceHash for cache addressing.
+/// Lowers \p P to bytecode. \p Source, the text \p P was parsed from, is
+/// unused: the lowering reads only \p P. The parameter stays so that
+/// existing callers keep compiling.
 CompiledProgram compileProgram(const Program &P, const std::string &Source);
 
 } // namespace vm

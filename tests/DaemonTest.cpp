@@ -416,12 +416,15 @@ TEST(DiskStore, ConcurrentPutGetChurn) {
     Pool.emplace_back([&, T] {
       for (int I = 0; I != Ops; ++I) {
         uint64_t Key = static_cast<uint64_t>((T * Ops + I) % 31);
-        if (I % 3 == 0)
-          Store.store(Key, successResult("v" + std::to_string(Key)));
-        else if (I % 7 == 0)
+        std::string Value = "v";
+        Value += std::to_string(Key);
+        if (I % 3 == 0) {
+          Store.store(Key, successResult(Value));
+        } else if (I % 7 == 0) {
           Store.erase(Key);
-        else if (auto R = Store.load(Key))
-          EXPECT_EQ(R->VectorizedSource, "v" + std::to_string(Key));
+        } else if (auto R = Store.load(Key)) {
+          EXPECT_EQ(R->VectorizedSource, Value);
+        }
       }
     });
   }
@@ -445,11 +448,12 @@ TEST(DiskStore, PruneRacesConcurrentChurnSafely) {
       Pool.emplace_back([&, T] {
         for (int I = 0; I != Ops; ++I) {
           uint64_t Key = static_cast<uint64_t>((T * 31 + I) % 59);
-          if (I % 2 == 0)
+          if (I % 2 == 0) {
             Store.store(Key, successResult(Payload));
-          else if (auto R = Store.load(Key))
+          } else if (auto R = Store.load(Key)) {
             EXPECT_EQ(R->VectorizedSource, Payload)
                 << "a pruned-or-present entry must never be torn";
+          }
         }
       });
     }
@@ -461,9 +465,11 @@ TEST(DiskStore, PruneRacesConcurrentChurnSafely) {
   // The survivor set reloads cleanly.
   DiskStore Reopened(DiskStoreConfig{Scratch.path(), 4096});
   EXPECT_EQ(Reopened.corruptDropped(), 0u);
-  for (uint64_t Key = 0; Key != 59; ++Key)
-    if (auto R = Reopened.load(Key))
+  for (uint64_t Key = 0; Key != 59; ++Key) {
+    if (auto R = Reopened.load(Key)) {
       EXPECT_EQ(R->VectorizedSource, Payload);
+    }
+  }
   EXPECT_EQ(Reopened.corruptDropped(), 0u);
 }
 
@@ -791,6 +797,31 @@ TEST(Daemon, FastKnobReloadDoesNotRebuildTheFleet) {
   ASSERT_TRUE(D.reload(New, Error)) << Error;
   // The fleet (and its warm cache) survived: still a memory hit.
   EXPECT_EQ(D.handle(vecRequest(script(6))).CacheTier, "memory");
+}
+
+TEST(Daemon, EngineReloadRebuildsTheFleet) {
+  DaemonConfig C;
+  C.Shards = 1;
+  C.WorkersPerShard = 1;
+  C.Engine = "ast";
+  Daemon D(C);
+
+  // The engine is baked into each shard service, so a reload to vm must
+  // swap in a fresh fleet; the validated request then runs on the VM and
+  // lowers its script through the code cache.
+  DaemonConfig New = D.config();
+  New.Engine = "vm";
+  std::string Error;
+  ASSERT_TRUE(D.reload(New, Error)) << Error;
+  Response R = D.handle(vecRequest(script(8)));
+  ASSERT_EQ(R.Status, "succeeded") << R.Message;
+
+  Request Stats;
+  Stats.V = Verb::Stats;
+  std::string Json = D.handle(Stats).Body;
+  EXPECT_NE(Json.find("\"code_cache_misses\":"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"code_cache_misses\":0}"), std::string::npos)
+      << "the reloaded engine never ran: " << Json;
 }
 
 // The headline guarantee, end to end: under an everything-armed fault

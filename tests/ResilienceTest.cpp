@@ -508,8 +508,9 @@ TEST(ServiceResilienceTest, OpenBreakerShedsSubsequentJobs) {
         Service.submit(makeSpec("job" + std::to_string(I), validScript()))
             .get();
     EXPECT_EQ(R.Status, JobStatus::Degraded);
-    if (I >= 2)
+    if (I >= 2) {
       EXPECT_NE(R.Message.find("circuit breaker open"), std::string::npos);
+    }
   }
   EXPECT_EQ(Service.metrics().BreakerShed.load(), 3u);
   EXPECT_EQ(Service.metrics().JobsDegraded.load(), 5u);
@@ -566,9 +567,11 @@ TEST(ServiceResilienceTest, DestructionResolvesEveryFuture) {
     ServiceConfig Config;
     Config.Workers = 2;
     VectorizationService Service(Config);
-    for (int I = 0; I != 20; ++I)
-      Futures.push_back(
-          Service.submit(makeSpec("f" + std::to_string(I), validScript())));
+    for (int I = 0; I != 20; ++I) {
+      std::string Name = "f";
+      Name += std::to_string(I);
+      Futures.push_back(Service.submit(makeSpec(Name, validScript())));
+    }
   }
   for (std::future<JobResult> &F : Futures) {
     // get() must not throw broken_promise or hang: destruction drains the

@@ -87,11 +87,10 @@ SandboxConfig testConfig(const std::string &QuarantineDir,
                          unsigned Workers = 1) {
   SandboxConfig C;
   C.Workers = Workers;
-  C.DeadlineMs = 10000;
-  C.HeartbeatIntervalMs = 50;
-  C.HeartbeatTimeoutMs = 1000;
-  C.QuarantineDir = QuarantineDir;
-  C.TestHooks = true;
+  C.Shard.HeartbeatIntervalMs = 50;
+  C.Shard.HeartbeatTimeoutMs = 1000;
+  C.Shard.QuarantineDir = QuarantineDir;
+  C.Shard.TestHooks = true;
   C.Respawn = RetryPolicy{3, std::chrono::milliseconds(10), 2.0, 0.5,
                           std::chrono::milliseconds(200)};
   return C;
@@ -268,7 +267,8 @@ TEST(SandboxPool, WorkerRespawnsAfterCrashAndKeepsServing) {
 TEST(SandboxPool, OomKilledWorkerIsContainedAndClassified) {
   ScratchDir Quarantine("oom");
   SandboxConfig C = testConfig(Quarantine.path());
-  C.MemoryLimitMB = 256; // Keep the hook's doomed allocation spree small.
+  // Keep the hook's doomed allocation spree small.
+  C.Shard.MemoryLimitMB = 256;
   SandboxPool Pool(C);
   ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() == 1; }));
 
@@ -286,7 +286,7 @@ TEST(SandboxPool, OomKilledWorkerIsContainedAndClassified) {
 TEST(SandboxPool, WatchdogKillsAWedgedWorker) {
   ScratchDir Quarantine("wedge");
   SandboxConfig C = testConfig(Quarantine.path());
-  C.HeartbeatTimeoutMs = 300; // Short grace: the test stays fast.
+  C.Shard.HeartbeatTimeoutMs = 300; // Short grace: the test stays fast.
   SandboxPool Pool(C);
   ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() == 1; }));
 
@@ -363,7 +363,7 @@ TEST(SandboxPool, KillMidStoreWriteNeverCorruptsTheStore) {
   ScratchDir StoreDir("storekill");
   {
     SandboxConfig C = testConfig(Quarantine.path(), /*Workers=*/2);
-    C.StoreDir = StoreDir.path();
+    C.Shard.StoreDir = StoreDir.path();
     SandboxPool Pool(C);
     ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() >= 1; }));
 
@@ -440,6 +440,52 @@ TEST(DaemonSandbox, ProcessIsolationServesAndDegradesOnCrash) {
   EXPECT_NE(Json.find("\"isolation\":\"process\""), std::string::npos);
   EXPECT_NE(Json.find("\"worker_pids\":["), std::string::npos);
   EXPECT_NE(Json.find("\"sandbox\":{\"crashes\":"), std::string::npos);
+}
+
+TEST(DaemonSandbox, WorkersRunTheShardsEngineAndCostModel) {
+  ScratchDir Quarantine("shardcfgq");
+  daemon::DaemonConfig C;
+  C.Isolation = "process";
+  C.Engine = "vm";
+  C.CostModel = "on";
+  C.QuarantineDir = Quarantine.path();
+  // No address-space cap: a sanitizer build's shadow mappings alone
+  // exceed the default 512 MiB, and this test is about the service.
+  C.WorkerMemoryMB = 0;
+  // The pool one shard of a daemon with this config runs (as
+  // Daemon::makeFleet builds it), narrowed to one worker so the STATS
+  // frame below reaches the worker that served the request.
+  SandboxConfig SC;
+  SC.Workers = 1;
+  SC.Shard = daemon::shardConfig(C);
+  SandboxPool Pool(SC);
+  ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() == 1; }));
+
+  // A tiny-trip nest under a hot shell: legal to vectorize, but the cost
+  // model keeps it in loop form.
+  std::string Body = "%! w(1,*) acc(1,*)\n"
+                     "w = rand(1,2);\nacc = zeros(1,2);\n"
+                     "for r = 1:100000\n"
+                     "  for j = 1:2\n"
+                     "    acc(j) = acc(j)*0.999 + w(j);\n"
+                     "  end\n"
+                     "end\n";
+  daemon::Response Out;
+  std::string Why;
+  ASSERT_TRUE(Pool.handle(vecRequest(Body), fnv1aHash(Body), Out, Why))
+      << Why;
+  ASSERT_EQ(Out.Status, "succeeded") << Out.Message;
+
+  daemon::Request Stats;
+  Stats.V = daemon::Verb::Stats;
+  ASSERT_TRUE(Pool.handle(Stats, 0, Out, Why)) << Why;
+  const std::string &Json = Out.Body;
+  // The validation run lowered the script to bytecode (engine = vm) ...
+  EXPECT_NE(Json.find("\"code_cache_misses\":"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"code_cache_misses\":0}"), std::string::npos) << Json;
+  // ... and the vectorizer consulted the cost model (cost_model = on).
+  EXPECT_NE(Json.find("\"nests_kept_loop\":"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"nests_kept_loop\":0,"), std::string::npos) << Json;
 }
 
 TEST(DaemonSandbox, IsolationModeHotReloadsBothWays) {

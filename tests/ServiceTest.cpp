@@ -119,14 +119,16 @@ TEST(ContentCacheTest, ConcurrentChurnKeepsInvariants) {
     Pool.emplace_back([&Cache, T] {
       for (int I = 0; I != Ops; ++I) {
         uint64_t Key = static_cast<uint64_t>((T * 7 + I * 13) % KeySpace);
+        std::string Value = "v";
+        Value += std::to_string(Key);
         if ((T + I) % 3 == 0) {
           JobResult R;
           R.Status = JobStatus::Succeeded;
-          R.VectorizedSource = "v" + std::to_string(Key);
+          R.VectorizedSource = Value;
           Cache.insert(Key, std::move(R));
         } else if (auto Hit = Cache.lookup(Key)) {
           // A hit must be a complete, untorn value for that key.
-          EXPECT_EQ(Hit->VectorizedSource, "v" + std::to_string(Key));
+          EXPECT_EQ(Hit->VectorizedSource, Value);
           EXPECT_EQ(Hit->Status, JobStatus::Succeeded);
         }
       }
