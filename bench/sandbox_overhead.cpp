@@ -5,20 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Quantifies what `isolation = process` costs: the same in-process soak
-/// as daemon_throughput is run twice — once with the shards serving
-/// inline (isolation=inproc) and once through forked sandbox workers
-/// (isolation=process, every request crossing two socketpair hops) — and
-/// then a third chaos phase repeats the process-isolated soak while a
-/// killer thread SIGKILLs live workers continuously.
+/// Quantifies what `isolation = process` costs. The warm soak (the same
+/// in-process soak as daemon_throughput, 32 repeated scripts) runs twice
+/// — once with isolation=inproc and once with isolation=process, where
+/// the shard services still serve every hit in the daemon — and a chaos
+/// phase repeats the process-isolated soak while a killer thread
+/// SIGKILLs live workers continuously. The cold phases send distinct
+/// scripts, so every request is a miss: vectorized and validated inline,
+/// or in a sandbox worker across the socketpair hop.
 ///
-/// Emits BENCH_sandbox.json: QPS and p50/p99/p999 per phase, the
-/// overhead ratio inproc/process, and the chaos phase's supervision
+/// Emits BENCH_sandbox.json: QPS and p50/p99/p999 per phase, the warm and
+/// cold overhead ratios inproc/process, and the chaos phase's supervision
 /// counters (crashes, respawns, degraded serves — which must be the ONLY
 /// casualty: every request still answers 200).
 ///
 /// Usage: sandbox_overhead [--quick] [output.json]
-///   --quick   10k requests per phase instead of 200k (CI smoke)
+///   --quick   10k warm / 1k cold requests per phase instead of 200k / 20k
+///             (CI smoke)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -175,6 +178,7 @@ int main(int Argc, char **Argv) {
     else
       OutPath = Arg;
   }
+  uint64_t PerColdPhase = PerPhase / 10;
   unsigned Threads = std::max(2u, std::thread::hardware_concurrency());
 
   std::vector<std::string> Scripts;
@@ -204,6 +208,20 @@ int main(int Argc, char **Argv) {
     Daemon D(C);
     Process = runPhase(D, PerPhase, Threads, Scripts);
   }
+
+  // Cold phases: one distinct script per request, so every request is a
+  // miss — the path where isolation still costs a socketpair round trip.
+  std::vector<std::string> Distinct;
+  for (uint64_t I = 0; I != PerColdPhase; ++I)
+    Distinct.push_back(syntheticScript(NumScripts + static_cast<unsigned>(I)));
+  auto ColdPhase = [&](const char *Isolation) {
+    DaemonConfig C = Base;
+    C.Isolation = Isolation;
+    Daemon D(C);
+    return runPhase(D, PerColdPhase, Threads, Distinct);
+  };
+  PhaseStats InprocCold = ColdPhase("inproc");
+  PhaseStats ProcessCold = ColdPhase("process");
 
   // Phase 3: the same process-isolated soak while workers are being
   // SIGKILLed out from under it. Throughput dips and degraded serves
@@ -244,6 +262,8 @@ int main(int Argc, char **Argv) {
   }
 
   double Overhead = Process.qps() > 0 ? Inproc.qps() / Process.qps() : 0;
+  double ColdOverhead =
+      ProcessCold.qps() > 0 ? InprocCold.qps() / ProcessCold.qps() : 0;
 
   std::ofstream Out(OutPath, std::ios::trunc);
   Out << "{\"bench\":\"sandbox_overhead\",\"requests_per_phase\":" << PerPhase
@@ -253,19 +273,27 @@ int main(int Argc, char **Argv) {
   Out << ",";
   printPhase(Out, "process", Process);
   Out << ",";
+  printPhase(Out, "inproc-cold", InprocCold);
+  Out << ",";
+  printPhase(Out, "process-cold", ProcessCold);
+  Out << ",";
   printPhase(Out, "process-chaos", Chaos);
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
                 "],\"isolation_overhead_x\":%.2f,"
+                "\"cold_isolation_overhead_x\":%.2f,"
                 "\"chaos\":{\"crashes\":%llu,\"respawns\":%llu}}\n",
-                Overhead, static_cast<unsigned long long>(Crashes),
+                Overhead, ColdOverhead,
+                static_cast<unsigned long long>(Crashes),
                 static_cast<unsigned long long>(Respawns));
   Out << Buf;
   Out.close();
 
-  std::printf("isolation overhead: %.2fx (inproc %.0f req/s vs process "
-              "%.0f req/s); chaos: %llu crash(es), %llu respawn(s)\n",
-              Overhead, Inproc.qps(), Process.qps(),
+  std::printf("isolation overhead: warm %.2fx (inproc %.0f req/s vs "
+              "process %.0f req/s), cold %.2fx (%.0f vs %.0f req/s); chaos: "
+              "%llu crash(es), %llu respawn(s)\n",
+              Overhead, Inproc.qps(), Process.qps(), ColdOverhead,
+              InprocCold.qps(), ProcessCold.qps(),
               static_cast<unsigned long long>(Crashes),
               static_cast<unsigned long long>(Respawns));
   std::printf("wrote %s\n", OutPath.c_str());
@@ -273,11 +301,15 @@ int main(int Argc, char **Argv) {
   // The containment contract, benchmarked: every request in every phase
   // got a 200, even with workers dying mid-soak.
   if (Inproc.Ok200 != Inproc.Requests || Process.Ok200 != Process.Requests ||
+      InprocCold.Ok200 != InprocCold.Requests ||
+      ProcessCold.Ok200 != ProcessCold.Requests ||
       Chaos.Ok200 != Chaos.Requests) {
     std::fprintf(stderr, "FAIL: a request did not answer 200\n");
     return 1;
   }
-  if (Inproc.Degraded + Inproc.Other + Process.Degraded + Process.Other !=
+  if (Inproc.Degraded + Inproc.Other + Process.Degraded + Process.Other +
+          InprocCold.Degraded + InprocCold.Other + ProcessCold.Degraded +
+          ProcessCold.Other !=
       0) {
     std::fprintf(stderr,
                  "FAIL: calm phases saw non-succeeded responses\n");

@@ -47,8 +47,6 @@ ShardConfig mvec::daemon::shardConfig(const DaemonConfig &C) {
   S.Engine = C.Engine;
   S.CostModel = C.CostModel;
   S.CostProfile = C.CostProfile;
-  S.StoreDir = C.StoreDir;
-  S.StoreMaxBytes = C.StoreMaxBytes;
   S.Isolation = C.Isolation;
   S.MemoryLimitMB = C.WorkerMemoryMB;
   S.CpuLimitSeconds = C.WorkerCpuSeconds;

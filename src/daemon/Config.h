@@ -75,10 +75,11 @@ struct DaemonConfig {
   /// malformed or stale file falls back to the defaults with a logged
   /// diagnostic; it never prevents startup.
   std::string CostProfile;
-  /// Shard execution placement: "inproc" runs each shard's service in
-  /// the daemon process (fastest); "process" runs it in forked sandbox
-  /// worker processes behind socketpairs (see src/sandbox/) so a worker
-  /// crash, OOM kill, or wedge never takes the daemon down.
+  /// Where a shard evaluates cache misses: "inproc" in its service's own
+  /// threads (fastest); "process" in forked sandbox worker processes
+  /// behind socketpairs (see src/sandbox/), so a worker crash, OOM kill,
+  /// or wedge never takes the daemon down. Hits are served in the daemon
+  /// either way.
   /// Hot-reloadable; a change swaps in a fresh shard fleet.
   std::string Isolation = "inproc";
   /// RLIMIT_AS per sandbox worker in MiB (0 = unlimited; process
@@ -108,13 +109,13 @@ struct DaemonConfig {
 };
 
 /// The fields one shard is built from: its VectorizationService (in the
-/// daemon, or in each sandbox worker) and, with isolation = process, its
-/// worker processes. shardConfig() is the only place these are copied
+/// daemon) and, with isolation = process, the worker processes it sends
+/// misses to. shardConfig() is the only place these are copied
 /// out of a DaemonConfig, and Daemon::reload() rebuilds the fleet exactly
 /// when this struct, the shard count or the store changes.
 struct ShardConfig {
-  /// Service threads per shard in process, or worker processes per shard
-  /// with process isolation.
+  /// Service threads per shard, and with process isolation also the
+  /// worker processes per shard.
   unsigned Workers = 2;
   size_t CacheCapacity = 512;
   size_t NestCacheCapacity = 1024;
@@ -123,12 +124,6 @@ struct ShardConfig {
   std::string Engine = "ast"; ///< "ast" or "vm"
   std::string CostModel = "off";
   std::string CostProfile;
-  /// The shared DiskStore directory. A sandbox worker opens its own
-  /// handle with SweepTmps=false (rename(2) atomicity makes concurrent
-  /// writers safe; pid-qualified tmp names make them collision-free).
-  /// Empty = memory tiers only.
-  std::string StoreDir;
-  size_t StoreMaxBytes = size_t(256) << 20;
   std::string Isolation = "inproc"; ///< "inproc" or "process"
   /// RLIMIT_AS per worker in MiB (0 = unlimited). Exhaustion surfaces as
   /// bad_alloc inside the worker (folded into a failed/degraded job

@@ -15,6 +15,17 @@
 using namespace mvec;
 using namespace mvec::daemon;
 
+namespace {
+
+Response degradedPassthrough(const Request &R, const std::string &Why,
+                             unsigned ShardIdx) {
+  Response Resp = responseFromResult(degradedResult(jobSpecFromRequest(R), Why));
+  Resp.Shard = ShardIdx;
+  return Resp;
+}
+
+} // namespace
+
 Daemon::Daemon(DaemonConfig Config)
     : Config(Config), Qos(Config.TenantRate, Config.TenantBurst),
       DeadlineMs(Config.DeadlineMs), MaxQueueDepth(Config.MaxQueueDepth) {
@@ -40,26 +51,21 @@ Daemon::~Daemon() {
 std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
   auto F = std::make_shared<Fleet>();
   ShardConfig Cfg = shardConfig(C);
-  F->Shards.reserve(C.Shards);
-  if (Cfg.Isolation == "process") {
-    // Each shard becomes a pool of forked workers; every worker builds
-    // its own service (and cost model) after the fork, so the parent
-    // fleet carries no in-process execution state at all.
-    sandbox::SandboxConfig SC;
-    SC.Workers = Cfg.Workers;
-    SC.Shard = Cfg;
-    for (unsigned I = 0; I != C.Shards; ++I) {
-      auto S = std::make_unique<Shard>();
-      S->Sandbox = std::make_unique<sandbox::SandboxPool>(SC);
-      F->Shards.push_back(std::move(S));
-    }
-    return F;
-  }
   ShardService Built = makeShardService(Cfg, Store.get(), "mvecd");
   F->Cost = std::move(Built.Cost);
+  F->Shards.reserve(C.Shards);
   for (unsigned I = 0; I != C.Shards; ++I) {
     auto S = std::make_unique<Shard>();
-    S->Service = std::make_unique<VectorizationService>(Built.Config);
+    ServiceConfig SC = Built.Config;
+    if (Cfg.Isolation == "process") {
+      sandbox::SandboxConfig PC;
+      PC.Workers = Cfg.Workers;
+      PC.Shard = Cfg;
+      S->Sandbox = std::make_unique<sandbox::SandboxPool>(PC);
+      SC.Evaluator = S->Sandbox.get();
+      SC.Metrics = &S->Sandbox->metrics();
+    }
+    S->Service = std::make_unique<VectorizationService>(SC);
     F->Shards.push_back(std::move(S));
   }
   return F;
@@ -92,18 +98,6 @@ std::vector<pid_t> Daemon::workerPids() const {
 DaemonConfig Daemon::config() const {
   std::lock_guard<std::mutex> Lock(ConfigMutex);
   return Config;
-}
-
-Response Daemon::degradedPassthrough(const Request &R,
-                                     const std::string &Why,
-                                     unsigned ShardIdx) const {
-  Response Resp;
-  Resp.Status = jobStatusName(JobStatus::Degraded);
-  Resp.ErrorClass = errorClassName(ErrorClass::Resource);
-  Resp.Shard = ShardIdx;
-  Resp.Message = "degraded: " + Why;
-  Resp.Body = R.Body; // Byte-exact: the client can always run this.
-  return Resp;
 }
 
 Response Daemon::handle(const Request &R) {
@@ -166,15 +160,8 @@ Response Daemon::handleVec(const Request &R) {
         R, "tenant '" + R.Tenant + "' over rate limit, load shed", 0);
   }
 
-  JobSpec Spec;
-  Spec.Name = R.Name.empty() ? "request" : R.Name;
-  Spec.Source = R.Body;
-  Spec.Validate = R.Validate;
-  unsigned ResolvedDeadline =
-      R.DeadlineMs != 0 ? R.DeadlineMs
-                        : DeadlineMs.load(std::memory_order_relaxed);
-  Spec.Deadline = std::chrono::milliseconds(ResolvedDeadline);
-
+  JobSpec Spec =
+      jobSpecFromRequest(R, DeadlineMs.load(std::memory_order_relaxed));
   std::shared_ptr<Fleet> F = fleetSnapshot();
   uint64_t Key = cacheKeyFor(Spec);
   auto ShardIdx = static_cast<unsigned>(Key % F->Shards.size());
@@ -193,22 +180,6 @@ Response Daemon::handleVec(const Request &R) {
                                ShardIdx);
   }
 
-  if (S.Sandbox) {
-    // Forward the already-parsed frame to an isolated worker with the
-    // deadline resolved; any failure to get a response (crash, watchdog
-    // kill, breaker open) degrades — never a protocol error.
-    Request Fwd = R;
-    Fwd.DeadlineMs = ResolvedDeadline;
-    Response Resp;
-    std::string Why;
-    bool Ok = S.Sandbox->handle(Fwd, Key, Resp, Why);
-    S.InFlight.fetch_sub(1, std::memory_order_relaxed);
-    if (!Ok)
-      return degradedPassthrough(R, Why, ShardIdx);
-    Resp.Shard = ShardIdx;
-    return Resp;
-  }
-
   JobResult Result;
   try {
     Result = S.Service->submit(std::move(Spec)).get();
@@ -219,15 +190,8 @@ Response Daemon::handleVec(const Request &R) {
   }
   S.InFlight.fetch_sub(1, std::memory_order_relaxed);
 
-  Response Resp;
-  Resp.Status = jobStatusName(Result.Status);
-  Resp.ErrorClass = errorClassName(Result.Class);
-  Resp.CacheTier =
-      Result.DiskHit ? "disk" : (Result.CacheHit ? "memory" : "none");
-  Resp.Attempts = Result.Attempts;
+  Response Resp = responseFromResult(std::move(Result));
   Resp.Shard = ShardIdx;
-  Resp.Message = Result.Message;
-  Resp.Body = std::move(Result.VectorizedSource);
   return Resp;
 }
 
@@ -240,7 +204,7 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
 
   bool StoreChanged = Applied.StoreDir != Config.StoreDir ||
                       Applied.StoreMaxBytes != Config.StoreMaxBytes;
-  // Every shard field is baked into the services (or worker processes)
+  // Every shard field is baked into the services and worker processes
   // at build time; a cost-model change also re-fingerprints every cache
   // key, so the memory tiers must be rebuilt anyway.
   bool FleetChanged = StoreChanged || Applied.Shards != Config.Shards ||
@@ -350,7 +314,7 @@ std::string Daemon::metricsJson() const {
           Out << (P ? "," : "") << Pids[P];
         Out << "]";
       }
-      Out << ",\"metrics\":" << S.metrics().json() << "}";
+      Out << ",\"metrics\":" << S.Service->metrics().json() << "}";
     }
   }
   Out << "]}}";

@@ -9,6 +9,10 @@
 /// VectorizationService instances (each with its own memory caches) over
 /// one shared persistent DiskStore, fronted by admission control.
 ///
+/// Isolation: each shard's service runs in the daemon in both modes, so
+/// hits never leave it; with `isolation = process` it hands only misses
+/// to the shard's sandbox::SandboxPool.
+///
 /// Sharding: a request's content key (the same FNV-1a key the caches use)
 /// picks its shard as key % N, so repeated submissions of the same script
 /// always land on the same shard and its warm caches — the shards never
@@ -98,18 +102,13 @@ public:
 
 private:
   struct Shard {
-    /// Exactly one of these is set, per the fleet's isolation mode:
-    /// Service runs jobs in-process, Sandbox in forked workers.
-    std::unique_ptr<VectorizationService> Service;
+    /// Where Service evaluates misses (isolation = process only); declared
+    /// first so it outlives the service, which also records into its
+    /// registry.
     std::unique_ptr<sandbox::SandboxPool> Sandbox;
+    std::unique_ptr<VectorizationService> Service;
     std::atomic<uint64_t> InFlight{0};
     std::atomic<uint64_t> Shed{0};
-    ServiceMetrics &metrics() {
-      return Sandbox ? Sandbox->metrics() : Service->metrics();
-    }
-    const ServiceMetrics &metrics() const {
-      return Sandbox ? Sandbox->metrics() : Service->metrics();
-    }
   };
   struct Fleet {
     /// Cost model shared by every shard service of this fleet (null when
@@ -122,8 +121,6 @@ private:
   std::shared_ptr<Fleet> makeFleet(const DaemonConfig &C) const;
   std::shared_ptr<Fleet> fleetSnapshot() const;
   Response handleVec(const Request &R);
-  Response degradedPassthrough(const Request &R, const std::string &Why,
-                               unsigned ShardIdx) const;
 
   /// Guards Config and structural swaps (reload is serialized).
   mutable std::mutex ConfigMutex;

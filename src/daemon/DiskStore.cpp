@@ -37,15 +37,10 @@ uint64_t entryChecksum(const std::string &Src, const std::string &Msg) {
 }
 
 std::string headerLine(const JobResult &R) {
-  const VectorizeStats &S = R.Stats;
   char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "%s %zu %zu %s %u %u %u %u %u %u %u %u %u %s\n", Magic,
+  std::snprintf(Buf, sizeof(Buf), "%s %zu %zu %s %s %s\n", Magic,
                 R.VectorizedSource.size(), R.Message.size(),
-                jobStatusName(R.Status), S.LoopNestsConsidered,
-                S.LoopNestsImproved, S.StmtsVectorized, S.StmtsSequential,
-                S.SequentialLoopsEmitted, S.IneligibleNests, S.StmtsCostKept,
-                S.NestsKeptLoop, S.VariantOverrides,
+                jobStatusName(R.Status), statsText(R.Stats).c_str(),
                 contentHexKey(entryChecksum(R.VectorizedSource, R.Message))
                     .c_str());
   return Buf;
@@ -60,11 +55,8 @@ bool parseEntry(const std::string &Data, JobResult &R) {
   std::string Version, Status, SumHex;
   size_t SrcLen = 0, MsgLen = 0;
   VectorizeStats S;
-  Header >> Version >> SrcLen >> MsgLen >> Status >> S.LoopNestsConsidered >>
-      S.LoopNestsImproved >> S.StmtsVectorized >> S.StmtsSequential >>
-      S.SequentialLoopsEmitted >> S.IneligibleNests >> S.StmtsCostKept >>
-      S.NestsKeptLoop >> S.VariantOverrides >> SumHex;
-  if (!Header || Version != Magic)
+  Header >> Version >> SrcLen >> MsgLen >> Status;
+  if (!readStats(Header, S) || !(Header >> SumHex) || Version != Magic)
     return false;
   // Only successful results are ever stored; refuse anything else rather
   // than replay a stale failure forever.
@@ -201,8 +193,8 @@ void DiskStore::store(uint64_t Key, const JobResult &Result) {
       Existed = true;
       OldSize = static_cast<uint64_t>(fs::file_size(Path, EC));
     }
-    // Pid-qualified so processes sharing the directory (daemon +
-    // sandboxed workers) can never race on the same temp name.
+    // Pid-qualified so two processes pointed at one directory can never
+    // race on the same temp name.
     std::string TmpPath =
         Path + ".tmp" + std::to_string(::getpid()) + "_" +
         std::to_string(TmpCounter.fetch_add(1, std::memory_order_relaxed));

@@ -52,11 +52,9 @@ struct DiskStoreConfig {
   /// Soft byte budget; when total payload bytes exceed it, the oldest
   /// entries (by mtime) are pruned to ~75% of the budget. 0 = unbounded.
   size_t MaxBytes = size_t(256) << 20;
-  /// Remove orphaned .tmp files on open. True for the first process to
-  /// open a directory (the daemon); false when a sandboxed worker opens
-  /// a store another process is already writing to — a sweep there
-  /// would delete a sibling's in-flight temp file. Tmp names are
-  /// pid-qualified, so skipping the sweep never causes collisions.
+  /// Remove orphaned .tmp files on open. Every store mvec opens sweeps
+  /// (the daemon's is the directory's only writer); the field stays for
+  /// source compatibility with perfbench's store probe, which sets it.
   bool SweepTmps = true;
 };
 

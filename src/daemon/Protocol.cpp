@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <sstream>
 
+using namespace mvec;
 using namespace mvec::daemon;
 
 const char *mvec::daemon::verbName(Verb V) {
@@ -84,6 +86,24 @@ void appendHeader(std::string &Out, const char *Name,
   Out += '\n';
 }
 
+JobStatus jobStatusFromName(const std::string &Name) {
+  for (JobStatus S : {JobStatus::Succeeded, JobStatus::Failed,
+                      JobStatus::TimedOut, JobStatus::Cancelled,
+                      JobStatus::Degraded})
+    if (Name == jobStatusName(S))
+      return S;
+  return JobStatus::Failed;
+}
+
+ErrorClass errorClassFromName(const std::string &Name) {
+  for (ErrorClass C : {ErrorClass::None, ErrorClass::Input,
+                       ErrorClass::Resource, ErrorClass::Deadline,
+                       ErrorClass::Internal})
+    if (Name == errorClassName(C))
+      return C;
+  return ErrorClass::Internal;
+}
+
 } // namespace
 
 std::string mvec::daemon::serializeRequest(const Request &R) {
@@ -116,6 +136,8 @@ std::string mvec::daemon::serializeResponse(const Response &R) {
   appendHeader(Out, "shard", std::to_string(R.Shard));
   if (!R.Message.empty())
     appendHeader(Out, "message", R.Message);
+  if (R.Stats)
+    appendHeader(Out, "stats", statsText(*R.Stats));
   appendHeader(Out, "content-length", std::to_string(R.Body.size()));
   Out += '\n';
   Out += R.Body;
@@ -280,6 +302,14 @@ bool mvec::daemon::responseFromFrame(const FrameReader::Frame &F,
   R.Shard = static_cast<unsigned>(
       std::strtoul(F.header("shard", "0").c_str(), nullptr, 10));
   R.Message = F.header("message");
+  std::string Stats = F.header("stats");
+  if (!Stats.empty()) {
+    std::istringstream In(Stats);
+    if (!readStats(In, R.Stats.emplace()) || !(In >> std::ws).eof()) {
+      Error = "invalid stats '" + Stats + "'";
+      return false;
+    }
+  }
   R.Body = F.Body;
   Out = std::move(R);
   return true;
@@ -291,4 +321,48 @@ std::string mvec::daemon::badRequestResponse(const std::string &Error) {
   R.Status = "bad-request";
   R.Message = Error;
   return serializeResponse(R);
+}
+
+JobSpec mvec::daemon::jobSpecFromRequest(const Request &R,
+                                         unsigned DefaultDeadlineMs) {
+  JobSpec Spec;
+  Spec.Name = R.Name.empty() ? "request" : R.Name;
+  Spec.Source = R.Body;
+  Spec.Validate = R.Validate;
+  Spec.Deadline =
+      std::chrono::milliseconds(R.DeadlineMs ? R.DeadlineMs : DefaultDeadlineMs);
+  return Spec;
+}
+
+Response mvec::daemon::responseFromResult(JobResult R) {
+  Response Resp;
+  Resp.Status = jobStatusName(R.Status);
+  Resp.ErrorClass = errorClassName(R.Class);
+  Resp.CacheTier = R.DiskHit ? "disk" : (R.CacheHit ? "memory" : "none");
+  Resp.Attempts = R.Attempts;
+  Resp.Message = std::move(R.Message);
+  Resp.Body = std::move(R.VectorizedSource);
+  return Resp;
+}
+
+Request mvec::daemon::requestFromJobSpec(const JobSpec &Spec) {
+  Request R;
+  R.V = Verb::Vec;
+  R.Name = Spec.Name;
+  R.Validate = Spec.Validate;
+  R.DeadlineMs = static_cast<unsigned>(Spec.Deadline.count());
+  R.Body = Spec.Source;
+  return R;
+}
+
+JobResult mvec::daemon::resultFromResponse(Response R) {
+  JobResult Result;
+  Result.Status = jobStatusFromName(R.Status);
+  Result.Class = errorClassFromName(R.ErrorClass);
+  Result.Attempts = R.Attempts;
+  Result.Message = std::move(R.Message);
+  Result.VectorizedSource = std::move(R.Body);
+  if (R.Stats)
+    Result.Stats = *R.Stats;
+  return Result;
 }

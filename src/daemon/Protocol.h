@@ -36,15 +36,19 @@
 /// mechanically checkable.
 ///
 /// Everything in this file is transport-independent (operates on byte
-/// buffers, never sockets) so the framing logic is unit-testable.
+/// buffers, never sockets) so the framing logic is unit-testable, and
+/// holds the one copy of the conversions between frames and jobs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MVEC_DAEMON_PROTOCOL_H
 #define MVEC_DAEMON_PROTOCOL_H
 
+#include "service/Job.h"
+
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,6 +100,9 @@ struct Response {
   /// Single-line diagnostic (newlines are escaped on the wire).
   std::string Message;
   std::string Body;
+  /// The result's VectorizeStats (`stats` header): sent by sandbox
+  /// workers so what the daemon caches matches an in-process result.
+  std::optional<VectorizeStats> Stats;
 };
 
 std::string serializeRequest(const Request &R);
@@ -161,6 +168,16 @@ bool responseFromFrame(const FrameReader::Frame &F, Response &Out,
 
 /// The canned 400 frame for a malformed request.
 std::string badRequestResponse(const std::string &Error);
+
+/// The job a VEC request asks for; \p DefaultDeadlineMs (0 = none)
+/// applies when the request names no deadline.
+JobSpec jobSpecFromRequest(const Request &R, unsigned DefaultDeadlineMs = 0);
+/// The VEC response for \p R, without Stats and with shard 0.
+Response responseFromResult(JobResult R);
+/// The inverse pair, for forwarding a miss to a sandbox worker: only the
+/// wire's fields survive, and serving flags stay clear.
+Request requestFromJobSpec(const JobSpec &Spec);
+JobResult resultFromResponse(Response R);
 
 } // namespace daemon
 } // namespace mvec

@@ -7,17 +7,20 @@
 /// \file
 /// Shared types for `mvec::sandbox`, the daemon's crash-containment
 /// layer. With `isolation = process`, each shard's VectorizationService
-/// runs in forked worker processes behind AF_UNIX socketpairs speaking
-/// the ordinary MVEC/1 frame protocol; the parent keeps only a
-/// supervisor (SandboxPool) that forwards requests, watches heartbeats,
-/// classifies deaths, quarantines crash-inducing inputs, and respawns
-/// workers with jittered backoff. A genuine SIGSEGV, OOM kill, or
-/// infinite loop then costs one worker process — never the daemon.
+/// still runs in the daemon and owns every result tier (memory cache and
+/// DiskStore); only its cache misses, the sole untrusted evaluations,
+/// are forwarded to forked worker processes behind AF_UNIX socketpairs
+/// speaking the ordinary MVEC/1 frame protocol. A supervisor
+/// (SandboxPool) forwards those jobs, watches heartbeats, classifies
+/// deaths, quarantines crash-inducing inputs, and respawns workers with
+/// jittered backoff. A genuine SIGSEGV, OOM kill, or infinite loop then
+/// costs one worker process — never the daemon, and never a cached
+/// result.
 ///
 /// A worker builds its service from the shard's daemon::ShardConfig
-/// through daemon::makeShardService, the same path an in-process shard
-/// takes; SandboxConfig adds only the pool size and the supervisor's
-/// respawn and crash-loop policy.
+/// through daemon::makeShardService, the same path the shard's own
+/// service takes, minus the result tiers; SandboxConfig adds only the
+/// pool size and the supervisor's respawn and crash-loop policy.
 ///
 /// Failure taxonomy (WorkerFailure): every way a worker can stop serving
 /// is classified so metrics, quarantine headers, and logs agree on
@@ -70,8 +73,8 @@ struct SandboxConfig {
   /// Worker processes in the pool (one shard's worth; clamped >= 1).
   unsigned Workers = 2;
   /// The service each worker runs and the limits it runs under; the same
-  /// fields (and the same makeShardService) an in-process shard is built
-  /// from, so the two placements cannot drift apart.
+  /// fields (and the same makeShardService) the shard's own service is
+  /// built from, so the two cannot drift apart.
   daemon::ShardConfig Shard;
   /// Backoff between respawn attempts of one worker slot; the retry
   /// number is the slot's consecutive-failure streak, so a crash-looping
@@ -82,7 +85,7 @@ struct SandboxConfig {
                       /*Multiplier=*/2.0, /*Jitter=*/0.5,
                       /*MaxBackoff=*/std::chrono::milliseconds(2000)};
   /// Crash-loop breaker: consecutive worker deaths trip it Open and the
-  /// pool sheds requests (the daemon answers degraded passthrough)
+  /// pool sheds jobs (they degrade to passthrough)
   /// until the cooldown elapses. FailureThreshold 0 disables.
   BreakerConfig CrashLoop{/*FailureThreshold=*/8,
                           /*Cooldown=*/std::chrono::milliseconds(2000),

@@ -8,7 +8,6 @@
 
 #include "resilience/Backoff.h"
 #include "sandbox/Quarantine.h"
-#include "service/Job.h"
 #include "support/Io.h"
 
 #include <algorithm>
@@ -190,15 +189,15 @@ void SandboxPool::retireWorker(Slot &S, const WorkerFailure *Forced,
     if (Signal == 0)
       Signal = SIGKILL;
   }
-  noteDeath(S, Fail);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  noteDeathLocked(S, Fail);
 }
 
-void SandboxPool::noteDeath(Slot &S, WorkerFailure Fail) {
+void SandboxPool::noteDeathLocked(Slot &S, WorkerFailure Fail) {
   if (Fail == WorkerFailure::WatchdogTimeout)
     Metrics.SandboxWatchdogKills.fetch_add(1, std::memory_order_relaxed);
-  else
+  else if (Fail != WorkerFailure::SpawnFailed)
     Metrics.SandboxCrashes.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(Mutex);
   S.St = Slot::State::Dead;
   S.FailStreak = std::min(S.FailStreak + 1, 16u);
   // Jittered exponential backoff before the slot respawns; seeded by the
@@ -267,16 +266,14 @@ bool SandboxPool::handle(const Request &R, uint64_t Key, Response &Out,
     Why = "sandbox crash-loop breaker open";
     return false;
   }
-  Metrics.JobsSubmitted.fetch_add(1, std::memory_order_relaxed);
-  // The daemon forwards every request with its deadline resolved; zero
-  // means none, but the watchdog still needs a bound.
+  // Jobs arrive with their deadline resolved; zero means none, but the
+  // watchdog still needs a bound.
   unsigned BudgetMs = R.DeadlineMs ? R.DeadlineMs : 600000;
-  Clock::time_point Start = Clock::now();
 
   Slot *S = acquire(std::chrono::milliseconds(BudgetMs));
   if (!S) {
     // Not a worker failure (the breaker is not fed): the pool is simply
-    // saturated or mid-respawn; the daemon sheds this request.
+    // saturated or mid-respawn; the job degrades.
     Breaker.recordSuccess();
     Why = "no idle sandbox worker within the deadline";
     return false;
@@ -308,31 +305,17 @@ bool SandboxPool::handle(const Request &R, uint64_t Key, Response &Out,
 
   Breaker.recordSuccess();
   release(*S, /*Healthy=*/true);
-
-  // Mirror the worker's job-level outcome into this pool's registry so
-  // STATS has the same shape for both isolation modes.
-  double Wall = std::chrono::duration<double>(Clock::now() - Start).count();
-  Metrics.TotalLatency.record(Wall);
-  const std::string &St = Out.Status;
-  if (St == jobStatusName(JobStatus::Succeeded))
-    Metrics.JobsSucceeded.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Failed))
-    Metrics.JobsFailed.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::TimedOut))
-    Metrics.JobsTimedOut.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Cancelled))
-    Metrics.JobsCancelled.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Degraded))
-    Metrics.JobsDegraded.fetch_add(1, std::memory_order_relaxed);
-  if (R.V == Verb::Vec) {
-    if (Out.CacheTier == "memory")
-      Metrics.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    else
-      Metrics.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-    if (Out.CacheTier == "disk")
-      Metrics.DiskHits.fetch_add(1, std::memory_order_relaxed);
-  }
   return true;
+}
+
+JobResult SandboxPool::evaluate(const JobSpec &Spec, uint64_t Key) {
+  Response Resp;
+  std::string Why;
+  if (!handle(requestFromJobSpec(Spec), Key, Resp, Why))
+    return degradedResult(Spec, Why);
+  JobResult R = resultFromResponse(std::move(Resp));
+  R.Name = Spec.Name;
+  return R;
 }
 
 void SandboxPool::supervise() {
@@ -359,15 +342,7 @@ void SandboxPool::supervise() {
         S->Proc.Fd = -1;
         S->Proc.Pid = -1;
         int Sig, Code;
-        WorkerFailure Fail = classifyStatus(Status, Sig, Code);
-        Metrics.SandboxCrashes.fetch_add(1, std::memory_order_relaxed);
-        S->St = Slot::State::Dead;
-        S->FailStreak = std::min(S->FailStreak + 1, 16u);
-        S->NextSpawnAt = Clock::now() +
-                         std::chrono::duration_cast<Clock::duration>(
-                             backoffDelay(Config.Respawn, S->FailStreak,
-                                          reinterpret_cast<uintptr_t>(S.get())));
-        (void)Fail;
+        noteDeathLocked(*S, classifyStatus(Status, Sig, Code));
       }
     }
 
@@ -429,11 +404,7 @@ void SandboxPool::supervise() {
           Metrics.SandboxRespawns.fetch_add(1, std::memory_order_relaxed);
         IdleCv.notify_all();
       } else {
-        Raw->FailStreak = std::min(Raw->FailStreak + 1, 16u);
-        Raw->NextSpawnAt =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               backoffDelay(Config.Respawn, Raw->FailStreak,
-                                            reinterpret_cast<uintptr_t>(Raw)));
+        noteDeathLocked(*Raw, WorkerFailure::SpawnFailed);
       }
     }
   }

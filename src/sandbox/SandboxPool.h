@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The parent half of process isolation: a pool of forked workers
-/// (Worker.h) plus the supervisor that keeps them alive. One shard with
-/// `isolation = process` owns one SandboxPool where it would otherwise
-/// own a VectorizationService.
+/// (Worker.h) plus the supervisor that keeps them alive. A shard with
+/// `isolation = process` owns one as its service's MissEvaluator: only
+/// cache misses reach a worker.
 ///
 /// Request path (handle()): admission through the crash-loop breaker,
 /// acquire an idle worker (waiting at most the request's deadline),
@@ -16,8 +16,8 @@
 /// watchdog budget of deadline + heartbeat-timeout grace. Any deviation
 /// — EOF, unparsable bytes, budget exhausted — kills the worker,
 /// classifies the death from the wait status, quarantines the input,
-/// feeds the breaker, and reports failure so the daemon can answer
-/// degraded byte-exact passthrough. A worker serves exactly one request
+/// feeds the breaker, and reports failure, which evaluate() turns into
+/// the degraded passthrough result. A worker serves exactly one request
 /// at a time, so a response on its socket is unambiguously ours.
 ///
 /// Supervisor thread: every heartbeat interval it reaps workers that
@@ -26,10 +26,9 @@
 /// respawns dead slots once their jittered backoff (slot failure streak
 /// drives resilience::backoffDelay) has elapsed.
 ///
-/// Metrics: the pool owns a ServiceMetrics registry — job counters are
-/// mirrored from worker responses, and the Sandbox* counters record
-/// supervision events — so the daemon's STATS document has the same
-/// shape for both isolation modes.
+/// Metrics: the pool records only the Sandbox* counters; the shard's
+/// service records everything else into the same registry
+/// (ServiceConfig::Metrics).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +39,7 @@
 #include "resilience/CircuitBreaker.h"
 #include "sandbox/Worker.h"
 #include "service/ServiceMetrics.h"
+#include "service/VectorizationService.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -51,7 +51,7 @@
 namespace mvec {
 namespace sandbox {
 
-class SandboxPool {
+class SandboxPool final : public MissEvaluator {
 public:
   /// Spawns the initial workers (failures are retried by the
   /// supervisor, not fatal) and starts the supervisor thread.
@@ -71,6 +71,9 @@ public:
   /// the no-protocol-error invariant is its job, not ours.
   bool handle(const daemon::Request &R, uint64_t Key,
               daemon::Response &Out, std::string &Why);
+
+  /// handle() for the shard service; a failure is degradedResult().
+  JobResult evaluate(const JobSpec &Spec, uint64_t Key) override;
 
   const SandboxConfig &config() const { return Config; }
   ServiceMetrics &metrics() { return Metrics; }
@@ -105,7 +108,9 @@ private:
   /// \p Forced names the failure when the parent initiated the kill.
   void retireWorker(Slot &S, const WorkerFailure *Forced, WorkerFailure &Fail,
                     int &Signal, int &ExitCode);
-  void noteDeath(Slot &S, WorkerFailure Fail);
+  /// Counts a death (not a failed spawn), marks \p S Dead and schedules
+  /// its respawn after backoff. Caller holds Mutex.
+  void noteDeathLocked(Slot &S, WorkerFailure Fail);
   void supervise();
 
   SandboxConfig Config;

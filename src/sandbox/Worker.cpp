@@ -6,7 +6,6 @@
 
 #include "sandbox/Worker.h"
 
-#include "daemon/DiskStore.h"
 #include "daemon/Protocol.h"
 #include "service/VectorizationService.h"
 #include "support/Io.h"
@@ -179,22 +178,13 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
   if (Shard.CpuLimitSeconds)
     applyLimit(RLIMIT_CPU, Shard.CpuLimitSeconds);
 
-  // Everything below is freshly constructed: own caches, own store
-  // handle (no boot sweep — a sibling may be mid-write), own cost model.
-  std::unique_ptr<DiskStore> Store;
-  if (!Shard.StoreDir.empty()) {
-    try {
-      Store = std::make_unique<DiskStore>(DiskStoreConfig{
-          Shard.StoreDir, Shard.StoreMaxBytes, /*SweepTmps=*/false});
-    } catch (const std::exception &E) {
-      std::fprintf(stderr, "mvec-worker[%d]: store disabled: %s\n",
-                   ::getpid(), E.what());
-    }
-  }
+  // Everything below is freshly constructed. No result tier: the
+  // daemon's shard service owns every cached result.
   ShardService Built = makeShardService(
-      Shard, Store.get(), "mvec-worker[" + std::to_string(::getpid()) + "]");
+      Shard, nullptr, "mvec-worker[" + std::to_string(::getpid()) + "]");
   Built.Config.Workers = 1; // One request in flight per worker process.
   Built.Config.QueueCapacity = 4;
+  Built.Config.CacheCapacity = 0;
   VectorizationService Service(Built.Config);
 
   FrameReader Reader;
@@ -246,19 +236,10 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
       std::string Marker;
       if (Shard.TestHooks && findTestHook(Req.Body, Marker))
         runTestHook(Marker); // noreturn
-      JobSpec Spec;
-      Spec.Name = Req.Name.empty() ? "request" : Req.Name;
-      Spec.Source = Req.Body;
-      Spec.Validate = Req.Validate;
-      Spec.Deadline = std::chrono::milliseconds(Req.DeadlineMs);
-      JobResult Result = Service.submit(std::move(Spec)).get();
-      Resp.Status = jobStatusName(Result.Status);
-      Resp.ErrorClass = errorClassName(Result.Class);
-      Resp.CacheTier =
-          Result.DiskHit ? "disk" : (Result.CacheHit ? "memory" : "none");
-      Resp.Attempts = Result.Attempts;
-      Resp.Message = Result.Message;
-      Resp.Body = std::move(Result.VectorizedSource);
+      JobResult Result = Service.submit(jobSpecFromRequest(Req)).get();
+      VectorizeStats Stats = Result.Stats;
+      Resp = responseFromResult(std::move(Result));
+      Resp.Stats = Stats;
       break;
     }
     }

@@ -9,11 +9,14 @@
 /// already in this binary) serving MVEC/1 frames on its half of an
 /// AF_UNIX socketpair. The child applies its rlimits, drops every
 /// inherited descriptor except its socket, builds a fresh single-thread
-/// VectorizationService (its own caches, its own DiskStore handle on
-/// the shared directory), and loops: read frame, serve, write frame,
-/// until EOF — at which point it _exit(0)s. It never touches parent
-/// state: the daemon's fleet, sockets, and locks are dead weight in the
-/// child's address-space copy.
+/// VectorizationService with no result tier (no result cache, no store;
+/// only the nest and code caches that serve the evaluation itself), and
+/// loops: read frame, serve, write frame, until EOF — at which point it
+/// _exit(0)s. It only ever sees misses: the daemon's shard service owns
+/// every cached result and keeps what the worker sends back, so a
+/// respawned worker loses nothing. It never touches parent state: the
+/// daemon's fleet, sockets, and locks are dead weight in the child's
+/// address-space copy.
 ///
 /// Fork safety: the parent is multithreaded, so the child may only call
 /// into state that is either freshly constructed after the fork or

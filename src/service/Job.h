@@ -20,6 +20,7 @@
 #include "vectorizer/Vectorizer.h"
 
 #include <chrono>
+#include <iosfwd>
 #include <string>
 
 namespace mvec {
@@ -101,6 +102,17 @@ struct JobResult {
 
   bool succeeded() const { return Status == JobStatus::Succeeded; }
 };
+
+/// \p S as its nine counters in declaration order, space-separated: the
+/// form DiskStore entries and sandbox worker responses carry.
+std::string statsText(const VectorizeStats &S);
+/// Reads the counters statsText() wrote; false when \p In fails.
+bool readStats(std::istream &In, VectorizeStats &S);
+
+/// The degraded passthrough result for \p Spec: status Degraded, class
+/// Resource, message "degraded: " + \p Why, and the original source byte
+/// for byte as the result body, so the caller can always run it.
+JobResult degradedResult(const JobSpec &Spec, const std::string &Why);
 
 } // namespace mvec
 

@@ -87,8 +87,7 @@ std::string ServiceMetrics::text() const {
       << " disk_hits=" << DiskHits.load()
       << " disk_misses=" << DiskMisses.load() << "\n"
       << "  queue: depth_high_water=" << QueueDepthHighWater.load() << "\n"
-      << "  compile: bytecode_compiles=" << BytecodeCompiles.load()
-      << " code_cache_hits=" << CodeCacheHits.load()
+      << "  compile: code_cache_hits=" << CodeCacheHits.load()
       << " code_cache_misses=" << CodeCacheMisses.load() << "\n"
       << "  cost: nests_vectorized=" << NestsVectorized.load()
       << " nests_kept_loop=" << NestsKeptLoop.load()
@@ -131,8 +130,7 @@ std::string ServiceMetrics::json() const {
       << ",\"disk_hits\":" << DiskHits.load()
       << ",\"disk_misses\":" << DiskMisses.load() << "},"
       << "\"queue\":{\"depth_high_water\":" << QueueDepthHighWater.load()
-      << "},\"compile\":{\"bytecode_compiles\":" << BytecodeCompiles.load()
-      << ",\"code_cache_hits\":" << CodeCacheHits.load()
+      << "},\"compile\":{\"code_cache_hits\":" << CodeCacheHits.load()
       << ",\"code_cache_misses\":" << CodeCacheMisses.load()
       << "},\"cost\":{\"nests_vectorized\":" << NestsVectorized.load()
       << ",\"nests_kept_loop\":" << NestsKeptLoop.load()

@@ -82,9 +82,8 @@ struct ServiceMetrics {
   std::atomic<uint64_t> DiskMisses{0};
   /// Deepest the submission queue has ever been.
   std::atomic<uint64_t> QueueDepthHighWater{0};
-  /// Compiled-execution tier: programs lowered to bytecode, and
-  /// CodeCache hits vs misses (had to lower).
-  std::atomic<uint64_t> BytecodeCompiles{0};
+  /// Compiled-execution tier: CodeCache hits vs misses (a miss is exactly
+  /// one lowering to bytecode).
   std::atomic<uint64_t> CodeCacheHits{0};
   std::atomic<uint64_t> CodeCacheMisses{0};
   /// Cost-model decisions (only move when ServiceConfig::Cost is set):
@@ -96,7 +95,7 @@ struct ServiceMetrics {
   std::atomic<uint64_t> NestsKeptLoop{0};
   std::atomic<uint64_t> VariantOverrides{0};
   /// Sandbox supervisor counters (only move for process-isolated shards,
-  /// where this registry belongs to a sandbox::SandboxPool): worker
+  /// whose sandbox::SandboxPool records into this registry): worker
   /// processes that died unexpectedly (signal, OOM kill, nonzero exit),
   /// workers respawned after a death, workers SIGKILLed by the watchdog
   /// (stuck past their deadline or missed heartbeats), crash-inducing

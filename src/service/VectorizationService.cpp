@@ -12,6 +12,7 @@
 #include "vm/CodeCache.h"
 
 #include <optional>
+#include <sstream>
 #include <thread>
 
 using namespace mvec;
@@ -42,9 +43,39 @@ const char *mvec::jobStatusName(JobStatus Status) {
   return "unknown";
 }
 
+std::string mvec::statsText(const VectorizeStats &S) {
+  std::ostringstream Out;
+  Out << S.LoopNestsConsidered << ' ' << S.LoopNestsImproved << ' '
+      << S.StmtsVectorized << ' ' << S.StmtsSequential << ' '
+      << S.SequentialLoopsEmitted << ' ' << S.IneligibleNests << ' '
+      << S.StmtsCostKept << ' ' << S.NestsKeptLoop << ' '
+      << S.VariantOverrides;
+  return Out.str();
+}
+
+bool mvec::readStats(std::istream &In, VectorizeStats &S) {
+  return static_cast<bool>(
+      In >> S.LoopNestsConsidered >> S.LoopNestsImproved >>
+      S.StmtsVectorized >> S.StmtsSequential >> S.SequentialLoopsEmitted >>
+      S.IneligibleNests >> S.StmtsCostKept >> S.NestsKeptLoop >>
+      S.VariantOverrides);
+}
+
+JobResult mvec::degradedResult(const JobSpec &Spec, const std::string &Why) {
+  JobResult R;
+  R.Name = Spec.Name;
+  R.Status = JobStatus::Degraded;
+  R.Class = ErrorClass::Resource;
+  R.VectorizedSource = Spec.Source;
+  R.Message = "degraded: " + Why;
+  return R;
+}
+
 VectorizationService::VectorizationService(ServiceConfig Config)
     : Config(Config), Cache(Config.CacheCapacity),
-      NCache(Config.NestCacheCapacity), Breaker(Config.Resilience.Breaker) {
+      NCache(Config.NestCacheCapacity),
+      Metrics(Config.Metrics ? *Config.Metrics : OwnMetrics),
+      Breaker(Config.Resilience.Breaker) {
   if (Config.DB) {
     DB = Config.DB;
   } else {
@@ -151,65 +182,27 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
     R.Name = Spec.Name;
     R.Status = JobStatus::Cancelled;
     R.Message = "batch cancelled before execution";
-  } else if (Config.CacheCapacity > 0) {
-    if (std::optional<JobResult> Hit = Cache.lookup(Key)) {
-      Metrics.CacheHits.fetch_add(1, std::memory_order_relaxed);
-      R = std::move(*Hit);
-      R.Name = Spec.Name;
-      R.CacheHit = true;
-      // Stage timings describe *this* serving, not the original run.
-      R.VectorizeSeconds = 0;
-      R.ValidateSeconds = 0;
-    } else {
-      Metrics.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-      // Second tier: the persistent result store (when wired in). A disk
-      // hit promotes the entry back into the memory tier so the next
-      // request is a plain memory hit.
-      std::optional<JobResult> FromStore;
-      if (Config.Store) {
-        // Store lookups are best-effort: a torn/corrupt entry or an I/O
-        // error is a miss, never a job failure.
-        try {
-          FromStore = Config.Store->load(Key);
-        } catch (...) {
+  } else if (std::optional<JobResult> Hit = lookupTiers(Key)) {
+    R = std::move(*Hit);
+    R.Name = Spec.Name;
+  } else {
+    R = Config.Evaluator ? Config.Evaluator->evaluate(Spec, Key)
+                         : executeWithResilience(Spec, Start, Key);
+    if (R.succeeded() && Config.CacheCapacity > 0) {
+      // Cache insertion is best-effort: an injected (or real) failure
+      // here must not undo an otherwise-successful job.
+      try {
+        if (Config.Faults) {
+          FaultContext Ctx(Config.Faults, Key ^ 0x9E3779B97F4A7C15ull);
+          FaultScope Scope(&Ctx);
+          maybeInject(FaultSite::CacheInsert);
         }
-        if (FromStore)
-          Metrics.DiskHits.fetch_add(1, std::memory_order_relaxed);
-        else
-          Metrics.DiskMisses.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (FromStore) {
-        R = std::move(*FromStore);
-        R.Name = Spec.Name;
-        try {
-          Cache.insert(Key, R);
-        } catch (...) {
-        }
-        R.CacheHit = true;
-        R.DiskHit = true;
-        R.VectorizeSeconds = 0;
-        R.ValidateSeconds = 0;
-      } else {
-        R = executeWithResilience(Spec, Start, Key);
-        if (R.succeeded()) {
-          // Cache insertion is best-effort: an injected (or real) failure
-          // here must not undo an otherwise-successful job.
-          try {
-            if (Config.Faults) {
-              FaultContext Ctx(Config.Faults, Key ^ 0x9E3779B97F4A7C15ull);
-              FaultScope Scope(&Ctx);
-              maybeInject(FaultSite::CacheInsert);
-            }
-            Cache.insert(Key, R);
-            if (Config.Store)
-              Config.Store->store(Key, R);
-          } catch (...) {
-          }
-        }
+        Cache.insert(Key, R);
+        if (Config.Store)
+          Config.Store->store(Key, R);
+      } catch (...) {
       }
     }
-  } else {
-    R = executeWithResilience(Spec, Start, Key);
   }
 
   R.QueueSeconds = QueueSeconds;
@@ -243,6 +236,40 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
   return R;
 }
 
+std::optional<JobResult> VectorizationService::lookupTiers(uint64_t Key) {
+  if (Config.CacheCapacity == 0)
+    return std::nullopt;
+  std::optional<JobResult> Hit = Cache.lookup(Key);
+  (Hit ? Metrics.CacheHits : Metrics.CacheMisses)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (!Hit && Config.Store) {
+    // Second tier: the persistent result store. Lookups are best-effort
+    // (a torn/corrupt entry or an I/O error is a miss, never a job
+    // failure), and a disk hit is promoted so the next request is a plain
+    // memory hit.
+    try {
+      Hit = Config.Store->load(Key);
+    } catch (...) {
+    }
+    (Hit ? Metrics.DiskHits : Metrics.DiskMisses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (Hit) {
+      try {
+        Cache.insert(Key, *Hit);
+      } catch (...) {
+      }
+      Hit->DiskHit = true;
+    }
+  }
+  if (Hit) {
+    Hit->CacheHit = true;
+    // Stage timings describe *this* serving, not the original run.
+    Hit->VectorizeSeconds = 0;
+    Hit->ValidateSeconds = 0;
+  }
+  return Hit;
+}
+
 JobResult VectorizationService::executeWithResilience(const JobSpec &Spec,
                                                       Clock::time_point Start,
                                                       uint64_t JobSalt) {
@@ -253,17 +280,13 @@ JobResult VectorizationService::executeWithResilience(const JobSpec &Spec,
   // that is overwhelmingly likely to fail too.
   if (!Breaker.allow()) {
     Metrics.BreakerShed.fetch_add(1, std::memory_order_relaxed);
+    if (RC.DegradeOnExhaustion)
+      return degradedResult(Spec, "circuit breaker open, load shed");
     JobResult R;
     R.Name = Spec.Name;
     R.Class = ErrorClass::Resource;
-    if (RC.DegradeOnExhaustion) {
-      R.Status = JobStatus::Degraded;
-      R.VectorizedSource = Spec.Source;
-      R.Message = "degraded: circuit breaker open, load shed";
-    } else {
-      R.Status = JobStatus::Failed;
-      R.Message = "circuit breaker open: load shed";
-    }
+    R.Status = JobStatus::Failed;
+    R.Message = "circuit breaker open: load shed";
     return R;
   }
 

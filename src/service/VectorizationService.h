@@ -41,6 +41,16 @@
 
 namespace mvec {
 
+/// Evaluates result-cache misses outside the service's pipeline (in the
+/// daemon's sandbox workers); the service keeps owning every result tier.
+class MissEvaluator {
+public:
+  virtual ~MissEvaluator() = default;
+  /// Evaluates \p Spec, whose result-cache key is \p Key. A failure to
+  /// evaluate comes back as a degradedResult().
+  virtual JobResult evaluate(const JobSpec &Spec, uint64_t Key) = 0;
+};
+
 struct ServiceConfig {
   /// Worker threads (clamped to >= 1).
   unsigned Workers = 4;
@@ -85,6 +95,13 @@ struct ServiceConfig {
   /// results computed under one calibration are never served under
   /// another.
   const cost::CostModel *Cost = nullptr;
+  /// Evaluates jobs that miss every result tier, once each: no retry, no
+  /// service breaker (null = executeWithResilience). Must outlive the
+  /// service.
+  MissEvaluator *Evaluator = nullptr;
+  /// Registry to record into (null = the service's own). Must outlive
+  /// the service.
+  ServiceMetrics *Metrics = nullptr;
 };
 
 class VectorizationService {
@@ -129,6 +146,8 @@ public:
 private:
   JobResult processJob(const JobSpec &Spec,
                        std::chrono::steady_clock::time_point SubmitTime);
+  /// The memory tier, then the store: a hit with its serving flags set.
+  std::optional<JobResult> lookupTiers(uint64_t Key);
   /// Breaker gate + per-attempt fault/governor scopes + retry with
   /// jittered backoff + graceful degradation, around executeUncached.
   JobResult
@@ -149,7 +168,9 @@ private:
   /// Compiled-bytecode cache (built only for the Vm engine; internally
   /// synchronized, shared by every worker).
   std::unique_ptr<vm::CodeCache> Code;
-  ServiceMetrics Metrics;
+  ServiceMetrics OwnMetrics;
+  /// OwnMetrics, or ServiceConfig::Metrics when one is given.
+  ServiceMetrics &Metrics;
   /// Service-wide breaker fed by internal/resource failures; open sheds
   /// new attempts into immediate degraded results.
   CircuitBreaker Breaker;

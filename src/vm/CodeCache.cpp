@@ -71,10 +71,8 @@ CodeCache::obtain(const std::string &Source, const Program &P) {
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  if (Metrics) {
-    Metrics->BytecodeCompiles.fetch_add(1, std::memory_order_relaxed);
+  if (Metrics)
     Metrics->CompileLatency.record(Seconds);
-  }
 
   insert(Key, CP);
   return CP;

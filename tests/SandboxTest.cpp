@@ -8,10 +8,11 @@
 /// Covers src/sandbox: forked workers serving MVEC/1 over socketpairs,
 /// the supervisor's failure taxonomy (crash, OOM kill, watchdog timeout,
 /// external SIGKILL), respawn with backoff, the crash-loop breaker,
-/// input quarantine with reproducer headers, disk-store crash safety
-/// through sandboxed workers, the daemon's isolation=process routing and
-/// hot reload between isolation modes, and the shared EINTR/partial-I/O
-/// helpers in support/Io.h.
+/// input quarantine with reproducer headers, the result tiers of a
+/// process-isolated daemon (its shard services serve every hit and own
+/// the store; workers only evaluate misses), the daemon's
+/// isolation=process routing and hot reload between isolation modes, and
+/// the shared EINTR/partial-I/O helpers in support/Io.h.
 ///
 /// Crash inputs are injected with the `%!sandbox-*` test hooks (see
 /// Worker.cpp), which only exist when SandboxConfig::TestHooks is set.
@@ -27,6 +28,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -94,6 +96,51 @@ SandboxConfig testConfig(const std::string &QuarantineDir,
   C.Respawn = RetryPolicy{3, std::chrono::milliseconds(10), 2.0, 0.5,
                           std::chrono::milliseconds(200)};
   return C;
+}
+
+/// A daemon config with `isolation = process`, fast heartbeats and the
+/// given quarantine and store directories (an empty store = none).
+daemon::DaemonConfig processDaemonConfig(const std::string &QuarantineDir,
+                                         const std::string &StoreDir,
+                                         unsigned Shards = 1,
+                                         unsigned Workers = 1) {
+  daemon::DaemonConfig C;
+  C.Shards = Shards;
+  C.WorkersPerShard = Workers;
+  C.Isolation = "process";
+  C.QuarantineDir = QuarantineDir;
+  C.StoreDir = StoreDir;
+  C.HeartbeatIntervalMs = 50;
+  // No address-space cap: a sanitizer build's shadow mappings alone
+  // exceed the default 512 MiB.
+  C.WorkerMemoryMB = 0;
+  return C;
+}
+
+/// The counter \p Key of the `disk_store` object in a STATS document.
+uint64_t diskStoreStat(const std::string &Json, const std::string &Key) {
+  size_t Obj = Json.find("\"disk_store\":{");
+  std::string Needle = "\"";
+  Needle += Key;
+  Needle += "\":";
+  size_t At = Json.find(Needle, Obj);
+  EXPECT_NE(At, std::string::npos) << Json;
+  return At == std::string::npos
+             ? 0
+             : std::strtoull(Json.c_str() + At + Needle.size(), nullptr, 10);
+}
+
+/// Total size of the entry files under a DiskStore directory.
+uint64_t storeFileBytes(const std::string &Dir, size_t &Files) {
+  uint64_t Bytes = 0;
+  Files = 0;
+  for (const auto &E : fs::recursive_directory_iterator(Dir)) {
+    if (!E.is_regular_file() || E.path().extension() != ".mvr")
+      continue;
+    Bytes += E.file_size();
+    ++Files;
+  }
+  return Bytes;
 }
 
 /// Polls \p Pred for up to \p BudgetMs.
@@ -189,14 +236,31 @@ TEST(SandboxPool, ServesVecThroughAForkedWorker) {
   EXPECT_EQ(Out.Status, "succeeded");
   EXPECT_FALSE(Out.Body.empty());
 
-  // The worker's warm cache answers the repeat; the pool mirrors the
-  // outcome into its own registry so STATS agree across modes.
+  // Workers keep no result tier: the repeat is evaluated again, and the
+  // pool records no job counters of its own.
   ASSERT_TRUE(Pool.handle(vecRequest(Body), fnv1aHash(Body), Out, Why));
-  EXPECT_EQ(Out.CacheTier, "memory");
-  EXPECT_EQ(Pool.metrics().JobsSubmitted.load(), 2u);
-  EXPECT_EQ(Pool.metrics().JobsSucceeded.load(), 2u);
-  EXPECT_EQ(Pool.metrics().CacheHits.load(), 1u);
+  EXPECT_EQ(Out.Status, "succeeded");
+  EXPECT_EQ(Out.CacheTier, "none");
+  EXPECT_EQ(Pool.metrics().JobsSubmitted.load(), 0u);
   EXPECT_EQ(Pool.metrics().SandboxCrashes.load(), 0u);
+
+  // Hits belong to the daemon's shard service: it answers the repeat from
+  // memory without a worker and counts both jobs in the shard's STATS.
+  ScratchDir DaemonQuarantine("happyd");
+  daemon::Daemon D(processDaemonConfig(DaemonQuarantine.path(), ""));
+  ASSERT_TRUE(eventually(3000, [&] { return !D.workerPids().empty(); }));
+  EXPECT_EQ(D.handle(vecRequest(Body)).CacheTier, "none");
+  daemon::Response Hit = D.handle(vecRequest(Body));
+  EXPECT_EQ(Hit.Status, "succeeded");
+  EXPECT_EQ(Hit.CacheTier, "memory");
+  EXPECT_EQ(Hit.Body, Out.Body);
+  std::string Json = D.metricsJson();
+  EXPECT_NE(Json.find("\"jobs\":{\"submitted\":2,\"succeeded\":2,"),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("\"cache\":{\"hits\":1,\"misses\":1,"),
+            std::string::npos)
+      << Json;
 }
 
 //===----------------------------------------------------------------------===//
@@ -351,38 +415,35 @@ TEST(SandboxPool, CrashLoopBreakerShedsThenRecovers) {
 }
 
 //===----------------------------------------------------------------------===//
-// DiskStore crash safety through sandboxed workers
+// The result tiers of a process-isolated daemon
 //===----------------------------------------------------------------------===//
 
-// SIGKILL workers continuously while they churn write-throughs into a
-// shared store directory: whatever survives on disk must be entirely
-// servable — rename(2) atomicity plus checksums means a kill mid-write
-// loses at most the entry being written, never corrupts the store.
+// SIGKILL workers continuously while the daemon churns write-throughs
+// into its store: only the daemon writes entries, so whatever survives on
+// disk must be entirely servable — a dead worker costs at most the job it
+// was evaluating, never a torn entry.
 TEST(SandboxPool, KillMidStoreWriteNeverCorruptsTheStore) {
   ScratchDir Quarantine("storekillq");
   ScratchDir StoreDir("storekill");
   {
-    SandboxConfig C = testConfig(Quarantine.path(), /*Workers=*/2);
-    C.Shard.StoreDir = StoreDir.path();
-    SandboxPool Pool(C);
-    ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() >= 1; }));
+    daemon::Daemon D(processDaemonConfig(Quarantine.path(), StoreDir.path(),
+                                         /*Shards=*/1, /*Workers=*/2));
+    ASSERT_TRUE(eventually(3000, [&] { return !D.workerPids().empty(); }));
 
     std::atomic<bool> Stop{false};
     std::thread Killer([&] {
       while (!Stop.load()) {
-        for (pid_t P : Pool.workerPids())
+        for (pid_t P : D.workerPids())
           ::kill(P, SIGKILL);
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
       }
     });
     for (int I = 0; I != 60; ++I) {
-      std::string Body = script(100 + I);
-      daemon::Request R = vecRequest(Body);
+      daemon::Request R = vecRequest(script(100 + I));
       R.DeadlineMs = 2000;
-      daemon::Response Out;
-      std::string Why;
-      // Failures are expected (the killer is merciless); corruption is not.
-      Pool.handle(R, fnv1aHash(Body), Out, Why);
+      // Degraded answers are expected (the killer is merciless);
+      // corruption is not.
+      EXPECT_EQ(D.handle(R).Code, 200);
     }
     Stop.store(true);
     Killer.join();
@@ -405,6 +466,81 @@ TEST(SandboxPool, KillMidStoreWriteNeverCorruptsTheStore) {
   EXPECT_EQ(Store.corruptDropped(), 0u)
       << "a kill mid-write must never leave a torn entry";
   EXPECT_EQ(Loaded, Store.entries());
+}
+
+// The shard service in the daemon owns the store in both isolation
+// modes, so STATS sees a process-isolated shard's write-through.
+TEST(DaemonSandbox, ProcessIsolatedShardWritesTheDaemonsStore) {
+  ScratchDir Quarantine("statsq");
+  ScratchDir StoreDir("stats");
+  daemon::Daemon D(processDaemonConfig(Quarantine.path(), StoreDir.path()));
+  ASSERT_TRUE(eventually(3000, [&] { return !D.workerPids().empty(); }));
+
+  std::string Body = script(7);
+  daemon::Response First = D.handle(vecRequest(Body));
+  ASSERT_EQ(First.Status, "succeeded") << First.Message;
+  daemon::Response Second = D.handle(vecRequest(Body));
+  EXPECT_EQ(Second.Status, "succeeded");
+  EXPECT_EQ(Second.CacheTier, "memory");
+
+  std::string Json = D.metricsJson();
+  EXPECT_GE(diskStoreStat(Json, "puts"), 1u) << Json;
+  EXPECT_GE(diskStoreStat(Json, "entries"), 1u) << Json;
+}
+
+// A worker keeps nothing worth losing: after every worker is killed and
+// respawned, the daemon still answers the script from memory.
+TEST(DaemonSandbox, RespawnedWorkersDoNotColdTheShard) {
+  ScratchDir Quarantine("respawnwarmq");
+  ScratchDir StoreDir("respawnwarm");
+  daemon::Daemon D(processDaemonConfig(Quarantine.path(), StoreDir.path(),
+                                       /*Shards=*/1, /*Workers=*/2));
+  ASSERT_TRUE(eventually(3000, [&] { return D.workerPids().size() == 2; }));
+
+  std::string Body = script(8);
+  ASSERT_EQ(D.handle(vecRequest(Body)).Status, "succeeded");
+
+  std::vector<pid_t> Killed = D.workerPids();
+  for (pid_t P : Killed)
+    ASSERT_EQ(::kill(P, SIGKILL), 0);
+  ASSERT_TRUE(eventually(5000, [&] {
+    std::vector<pid_t> Now = D.workerPids();
+    if (Now.size() != Killed.size())
+      return false;
+    for (pid_t P : Now)
+      if (std::find(Killed.begin(), Killed.end(), P) != Killed.end())
+        return false;
+    return true;
+  })) << "both workers must respawn";
+
+  daemon::Response Again = D.handle(vecRequest(Body));
+  EXPECT_EQ(Again.Status, "succeeded");
+  EXPECT_EQ(Again.CacheTier, "memory");
+}
+
+// One store handle counts every put against store_max_bytes, so the
+// directory stays within budget however many workers evaluate misses.
+TEST(DaemonSandbox, StoreStaysWithinItsByteBudget) {
+  ScratchDir Quarantine("budgetq");
+  ScratchDir StoreDir("budget");
+  daemon::DaemonConfig C = processDaemonConfig(
+      Quarantine.path(), StoreDir.path(), /*Shards=*/2, /*Workers=*/2);
+  C.StoreMaxBytes = 2048;
+  daemon::Daemon D(C);
+  ASSERT_TRUE(eventually(3000, [&] { return D.workerPids().size() == 4; }));
+
+  for (int I = 0; I != 40; ++I)
+    ASSERT_EQ(D.handle(vecRequest(script(200 + I))).Status, "succeeded");
+
+  size_t Files = 0;
+  uint64_t Bytes = storeFileBytes(StoreDir.path(), Files);
+  EXPECT_GE(Files, 1u);
+  EXPECT_LE(Bytes, C.StoreMaxBytes)
+      << "the directory outgrew store_max_bytes across " << Files
+      << " entries";
+  std::string Json = D.metricsJson();
+  EXPECT_EQ(diskStoreStat(Json, "payload_bytes"), Bytes) << Json;
+  EXPECT_EQ(diskStoreStat(Json, "entries"), Files) << Json;
 }
 
 //===----------------------------------------------------------------------===//
