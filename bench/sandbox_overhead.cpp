@@ -8,20 +8,22 @@
 /// Quantifies what `isolation = process` costs. The warm soak (the same
 /// in-process soak as daemon_throughput, 32 repeated scripts) runs twice
 /// — once with isolation=inproc and once with isolation=process, where
-/// the shard services still serve every hit in the daemon — and a chaos
-/// phase repeats the process-isolated soak while a killer thread
-/// SIGKILLs live workers continuously. The cold phases send distinct
-/// scripts, so every request is a miss: vectorized and validated inline,
-/// or in a sandbox worker across the socketpair hop.
+/// the shard services still serve every hit in the daemon. The cold
+/// phases send distinct scripts, so every request is a miss: vectorized
+/// and validated inline, or in a sandbox worker across the socketpair
+/// hop. A chaos phase repeats the process-isolated cold soak while a
+/// killer thread SIGKILLs live workers continuously, so kills land on
+/// workers that are evaluating misses.
 ///
 /// Emits BENCH_sandbox.json: QPS and p50/p99/p999 per phase, the warm and
 /// cold overhead ratios inproc/process, and the chaos phase's supervision
-/// counters (crashes, respawns, degraded serves — which must be the ONLY
-/// casualty: every request still answers 200).
+/// counters (crashes, respawns, cache misses; degraded serves must be the
+/// ONLY casualty: every request still answers 200).
 ///
 /// Usage: sandbox_overhead [--quick] [output.json]
 ///   --quick   10k warm / 1k cold requests per phase instead of 200k / 20k
-///             (CI smoke)
+///             (CI smoke); the chaos phase sends 20k distinct scripts
+///             either way
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,13 +152,15 @@ void printPhase(std::ofstream &Out, const char *Name, const PhaseStats &S) {
               static_cast<unsigned long long>(S.Degraded));
 }
 
-/// Sums one sandbox counter across the per-shard "sandbox":{...} objects
-/// in a STATS document.
-uint64_t sumSandboxCounter(const std::string &Json, const char *Key) {
+/// Sums counter \p Key across the per-shard \p Object objects (e.g.
+/// "sandbox" or "cache") in a STATS document.
+uint64_t sumCounter(const std::string &Json, const char *Object,
+                    const char *Key) {
   uint64_t Total = 0;
+  std::string Open = std::string("\"") + Object + "\":{";
   std::string Needle = std::string("\"") + Key + "\":";
-  for (size_t Pos = Json.find("\"sandbox\":{"); Pos != std::string::npos;
-       Pos = Json.find("\"sandbox\":{", Pos + 1)) {
+  for (size_t Pos = Json.find(Open); Pos != std::string::npos;
+       Pos = Json.find(Open, Pos + 1)) {
     size_t End = Json.find('}', Pos);
     size_t K = Json.find(Needle, Pos);
     if (K == std::string::npos || K > End)
@@ -211,8 +215,10 @@ int main(int Argc, char **Argv) {
 
   // Cold phases: one distinct script per request, so every request is a
   // miss — the path where isolation still costs a socketpair round trip.
+  // The chaos phase below takes its misses from the same list.
+  uint64_t PerChaosPhase = std::max<uint64_t>(PerPhase / 10, 20000);
   std::vector<std::string> Distinct;
-  for (uint64_t I = 0; I != PerColdPhase; ++I)
+  for (uint64_t I = 0; I != std::max(PerColdPhase, PerChaosPhase); ++I)
     Distinct.push_back(syntheticScript(NumScripts + static_cast<unsigned>(I)));
   auto ColdPhase = [&](const char *Isolation) {
     DaemonConfig C = Base;
@@ -223,14 +229,15 @@ int main(int Argc, char **Argv) {
   PhaseStats InprocCold = ColdPhase("inproc");
   PhaseStats ProcessCold = ColdPhase("process");
 
-  // Phase 3: the same process-isolated soak while workers are being
-  // SIGKILLed out from under it. Throughput dips and degraded serves
-  // appear; protocol errors and daemon deaths must not. The phase is a
-  // tenth of the others (each kill can cost a respawn round-trip) and
-  // requests carry a short deadline so a freshly-killed shard sheds
-  // instead of parking the driver for the default 10 s.
+  // Phase 3: a process-isolated cold soak while workers are being
+  // SIGKILLed out from under it. Every request is a distinct script, so
+  // each one is a miss a worker must evaluate: the kills land on busy
+  // workers. Throughput dips and degraded serves appear; protocol errors
+  // and daemon deaths must not. Requests carry a short deadline so a
+  // freshly-killed shard sheds instead of parking the driver for the
+  // default 10 s.
   PhaseStats Chaos;
-  uint64_t Crashes = 0, Respawns = 0;
+  uint64_t Crashes = 0, Respawns = 0, ChaosMisses = 0;
   {
     DaemonConfig C = Base;
     C.Isolation = "process";
@@ -250,15 +257,15 @@ int main(int Argc, char **Argv) {
           ::kill(Pids[Tick++ % Pids.size()], SIGKILL);
       }
     });
-    Chaos = runPhase(D, std::max<uint64_t>(PerPhase / 10, 20000), Threads,
-                     Scripts);
+    Chaos = runPhase(D, PerChaosPhase, Threads, Distinct);
     Stop.store(true);
     Killer.join();
     Request Stats;
     Stats.V = Verb::Stats;
     std::string Json = D.handle(Stats).Body;
-    Crashes = sumSandboxCounter(Json, "crashes");
-    Respawns = sumSandboxCounter(Json, "respawns");
+    Crashes = sumCounter(Json, "sandbox", "crashes");
+    Respawns = sumCounter(Json, "sandbox", "respawns");
+    ChaosMisses = sumCounter(Json, "cache", "misses");
   }
 
   double Overhead = Process.qps() > 0 ? Inproc.qps() / Process.qps() : 0;
@@ -282,20 +289,23 @@ int main(int Argc, char **Argv) {
   std::snprintf(Buf, sizeof(Buf),
                 "],\"isolation_overhead_x\":%.2f,"
                 "\"cold_isolation_overhead_x\":%.2f,"
-                "\"chaos\":{\"crashes\":%llu,\"respawns\":%llu}}\n",
+                "\"chaos\":{\"crashes\":%llu,\"respawns\":%llu,"
+                "\"misses\":%llu}}\n",
                 Overhead, ColdOverhead,
                 static_cast<unsigned long long>(Crashes),
-                static_cast<unsigned long long>(Respawns));
+                static_cast<unsigned long long>(Respawns),
+                static_cast<unsigned long long>(ChaosMisses));
   Out << Buf;
   Out.close();
 
   std::printf("isolation overhead: warm %.2fx (inproc %.0f req/s vs "
               "process %.0f req/s), cold %.2fx (%.0f vs %.0f req/s); chaos: "
-              "%llu crash(es), %llu respawn(s)\n",
+              "%llu crash(es), %llu respawn(s), %llu miss(es)\n",
               Overhead, Inproc.qps(), Process.qps(), ColdOverhead,
               InprocCold.qps(), ProcessCold.qps(),
               static_cast<unsigned long long>(Crashes),
-              static_cast<unsigned long long>(Respawns));
+              static_cast<unsigned long long>(Respawns),
+              static_cast<unsigned long long>(ChaosMisses));
   std::printf("wrote %s\n", OutPath.c_str());
 
   // The containment contract, benchmarked: every request in every phase

@@ -46,6 +46,8 @@
 ///   --stats            print the service metrics dump after the batch
 ///   --stats-json FILE  write the metrics as JSON to FILE
 ///
+/// A malformed or out-of-range flag value exits 2 (src/service/Flags.h).
+///
 //===----------------------------------------------------------------------===//
 
 #include "cost/CostModel.h"
@@ -54,13 +56,14 @@
 #include "interp/Interpreter.h"
 #include "interp/simd/SimdDispatch.h"
 #include "patterns/PluginAPI.h"
+#include "service/Flags.h"
 #include "service/VectorizationService.h"
+#include "support/Io.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -88,22 +91,11 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
-}
-
 /// Vectorizes every *.m file under \p Dir through the service; returns the
 /// process exit code (0 only when every job succeeded).
 int runBatch(const std::string &Dir, const VectorizerOptions &Opts,
-             const PatternDatabase &DB, unsigned Jobs, size_t CacheEntries,
-             unsigned DeadlineMs, bool Validate, ExecEngine Engine,
-             bool Stats, const std::string &StatsJsonPath) {
+             ServiceConfig Config, bool Validate, bool Stats,
+             const std::string &StatsJsonPath) {
   namespace fs = std::filesystem;
   std::error_code EC;
   std::vector<std::string> Paths;
@@ -125,7 +117,7 @@ int runBatch(const std::string &Dir, const VectorizerOptions &Opts,
   for (const std::string &Path : Paths) {
     JobSpec Spec;
     Spec.Name = Path;
-    if (!readFile(Path, Spec.Source)) {
+    if (!io::readFile(Path, Spec.Source)) {
       std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
       return 1;
     }
@@ -134,12 +126,6 @@ int runBatch(const std::string &Dir, const VectorizerOptions &Opts,
     Specs.push_back(std::move(Spec));
   }
 
-  ServiceConfig Config;
-  Config.Workers = Jobs;
-  Config.CacheCapacity = CacheEntries;
-  Config.DefaultDeadline = std::chrono::milliseconds(DeadlineMs);
-  Config.DB = &DB;
-  Config.Engine = Engine;
   VectorizationService Service(Config);
   std::vector<JobResult> Results = Service.runBatch(std::move(Specs));
 
@@ -186,69 +172,38 @@ int main(int argc, char **argv) {
   std::vector<std::string> Plugins;
   bool Validate = false, Run = false;
   std::string BatchDir;
-  unsigned Jobs = 4;
-  size_t CacheEntries = 256;
-  unsigned DeadlineMs = 10000;
+  ServiceConfig Batch; // --jobs 4 and --cache 256 are its defaults.
+  Batch.DefaultDeadline = std::chrono::milliseconds(10000);
   bool NoValidate = false, Stats = false;
   std::string StatsJsonPath;
-  std::string EngineName = "ast";
-  bool CostOn = false, ExplainCost = false;
+  EngineMode Engine = EngineMode::Ast;
+  CostMode Cost = CostMode::Off;
+  bool ExplainCost = false;
   std::string CostProfile;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "-o" && I + 1 < argc)
-      OutputPath = argv[++I];
-    else if (Arg == "--remarks")
-      Opts.EmitRemarks = true;
-    else if (Arg == "--validate")
-      Validate = true;
-    else if (Arg == "--run")
-      Run = true;
-    else if (Arg == "--plugin" && I + 1 < argc)
-      Plugins.push_back(argv[++I]);
-    else if (Arg == "--batch" && I + 1 < argc)
-      BatchDir = argv[++I];
-    else if (Arg == "--jobs" && I + 1 < argc)
-      Jobs = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (Arg == "--cache" && I + 1 < argc)
-      CacheEntries = static_cast<size_t>(std::atoll(argv[++I]));
-    else if (Arg == "--deadline-ms" && I + 1 < argc)
-      DeadlineMs = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (Arg == "--no-validate")
-      NoValidate = true;
-    else if (Arg == "--engine" && I + 1 < argc)
-      EngineName = argv[++I];
-    else if (Arg == "--cost-model" && I + 1 < argc) {
-      std::string Mode = argv[++I];
-      if (Mode == "off")
-        CostOn = false;
-      else if (Mode == "on")
-        CostOn = true;
-      else
-        return usage(argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 < argc)
-      CostProfile = argv[++I];
-    else if (Arg == "--explain-cost")
-      ExplainCost = true;
-    else if (simd::handleSimdFlag(argc, argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else if (Arg == "--stats")
-      Stats = true;
-    else if (Arg == "--stats-json" && I + 1 < argc)
-      StatsJsonPath = argv[++I];
-    else if (Arg == "--no-transposes")
-      Opts.EnableTransposes = false;
-    else if (Arg == "--no-patterns")
-      Opts.EnablePatterns = false;
-    else if (Arg == "--no-reductions")
-      Opts.EnableReductions = false;
-    else if (Arg == "--no-reassociation")
-      Opts.EnableReassociation = false;
-    else if (Arg == "--no-normalize")
-      Opts.NormalizeLoops = false;
-    else if (Arg == "--distribute-transposes")
-      Opts.DistributeTransposes = true;
+  FlagReader F(argc, argv);
+  std::string PluginPath;
+  while (F.next()) {
+    std::string Arg = F.arg();
+    if (F.read("-o", OutputPath) || F.read("--batch", BatchDir) ||
+        F.read("--jobs", Batch.Workers) ||
+        F.read("--cache", Batch.CacheCapacity) ||
+        F.read("--deadline-ms", Batch.DefaultDeadline) || F.engine(Engine) ||
+        F.costModel(Cost) || F.costProfile(CostProfile) || F.simd() ||
+        F.read("--stats-json", StatsJsonPath) ||
+        F.flag("--remarks", Opts.EmitRemarks) ||
+        F.flag("--validate", Validate) || F.flag("--run", Run) ||
+        F.flag("--no-validate", NoValidate) ||
+        F.flag("--explain-cost", ExplainCost) || F.flag("--stats", Stats) ||
+        F.flag("--no-transposes", Opts.EnableTransposes, false) ||
+        F.flag("--no-patterns", Opts.EnablePatterns, false) ||
+        F.flag("--no-reductions", Opts.EnableReductions, false) ||
+        F.flag("--no-reassociation", Opts.EnableReassociation, false) ||
+        F.flag("--no-normalize", Opts.NormalizeLoops, false) ||
+        F.flag("--distribute-transposes", Opts.DistributeTransposes))
+      continue;
+    if (F.read("--plugin", PluginPath))
+      Plugins.push_back(PluginPath);
     else if (Arg == "-h" || Arg == "--help")
       return usage(argv[0]);
     else if (!Arg.empty() && Arg[0] == '-' && Arg != "-")
@@ -260,63 +215,26 @@ int main(int argc, char **argv) {
   }
   if (BatchDir.empty() == InputPath.empty())
     return usage(argv[0]);
-  if (EngineName != "ast" && EngineName != "vm" && EngineName != "both")
-    return usage(argv[0]);
   // "both" fans one validation out into three runs; the batch path keeps
   // one engine per service instead.
-  if (EngineName == "both" && !BatchDir.empty())
+  if (Engine == EngineMode::Both && !BatchDir.empty())
     return usage(argv[0]);
   // The decision log is a single-translation artifact; batch jobs go
-  // through the (cost-fingerprinted) caches instead.
-  if (ExplainCost && !BatchDir.empty())
+  // through the (cost-fingerprinted) caches instead. A run vectorizes
+  // under one cost mode ("both" is the fuzzer's differential).
+  if ((ExplainCost && !BatchDir.empty()) || Cost == CostMode::Both)
     return usage(argv[0]);
-  ExecEngine Engine =
-      EngineName == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
+  ExecEngine Exec = Engine == EngineMode::Vm ? ExecEngine::Vm : ExecEngine::Ast;
+  Batch.Engine = Exec;
 
   std::unique_ptr<cost::CostModel> Model;
-  if (CostOn || ExplainCost) {
-    std::string Diag;
-    Model = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "warning: %s\n", Diag.c_str());
+  if (Cost == CostMode::On || ExplainCost) {
+    Model = loadCostModel(CostProfile, "warning");
     Opts.Cost = Model.get();
   }
   std::vector<cost::CostDecision> Decisions;
   if (ExplainCost)
     Opts.CostLog = &Decisions;
-
-  if (!BatchDir.empty()) {
-    PatternDatabase DB = makeDefaultPatternDatabase();
-    for (const std::string &Plugin : Plugins) {
-      std::string Error;
-      if (!loadPatternPlugin(Plugin, DB, Error)) {
-        std::fprintf(stderr, "error: plugin '%s': %s\n", Plugin.c_str(),
-                     Error.c_str());
-        return 1;
-      }
-    }
-    DB.freeze();
-    return runBatch(BatchDir, Opts, DB, Jobs, CacheEntries, DeadlineMs,
-                    !NoValidate, Engine, Stats, StatsJsonPath);
-  }
-
-  // Read the input.
-  std::string Source;
-  if (InputPath == "-") {
-    std::ostringstream Buf;
-    Buf << std::cin.rdbuf();
-    Source = Buf.str();
-  } else {
-    std::ifstream In(InputPath);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", InputPath.c_str());
-      return 1;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Source = Buf.str();
-  }
 
   // Assemble the pattern database.
   PatternDatabase DB = makeDefaultPatternDatabase();
@@ -327,6 +245,23 @@ int main(int argc, char **argv) {
                    Error.c_str());
       return 1;
     }
+  }
+
+  if (!BatchDir.empty()) {
+    DB.freeze();
+    Batch.DB = &DB;
+    return runBatch(BatchDir, Opts, Batch, !NoValidate, Stats, StatsJsonPath);
+  }
+
+  // Read the input.
+  std::string Source;
+  if (InputPath == "-") {
+    std::ostringstream Buf;
+    Buf << std::cin.rdbuf();
+    Source = Buf.str();
+  } else if (!io::readFile(InputPath, Source)) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", InputPath.c_str());
+    return 1;
   }
 
   PipelineResult Result = vectorizeSource(Source, Opts, &DB);
@@ -367,7 +302,7 @@ int main(int argc, char **argv) {
 
   if (Validate) {
     RunLimits Limits;
-    Limits.Engine = Engine;
+    Limits.Engine = Exec;
     std::string Diff =
         diffRunLimited(Source, Result.VectorizedSource, Limits).Message;
     if (!Diff.empty()) {
@@ -377,7 +312,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "validation: transformed program is semantically "
                          "equivalent\n");
   }
-  if (EngineName == "both") {
+  if (Engine == EngineMode::Both) {
     // Cross-check the execution tiers on both programs: the tree-walker
     // and the bytecode VM must behave byte-identically.
     for (const auto &[What, Src] :
@@ -410,7 +345,7 @@ int main(int argc, char **argv) {
     ParseResult Parsed = parseMatlab(Result.VectorizedSource, Diags);
     Interpreter I;
     bool Ok;
-    if (Engine == ExecEngine::Vm) {
+    if (Exec == ExecEngine::Vm) {
       vm::CompiledProgram CP =
           vm::compileProgram(Parsed.Prog, Result.VectorizedSource);
       Ok = vm::execute(CP, I);

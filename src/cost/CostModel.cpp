@@ -7,11 +7,11 @@
 #include "cost/CostModel.h"
 
 #include "support/ContentHash.h"
+#include "support/Io.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 namespace mvec {
@@ -223,17 +223,15 @@ CostProfile loadCostProfileOrDefault(const std::string &Path,
   if (Path.empty())
     return defaultCostProfile();
 
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Json;
+  if (!io::readFile(Path, Json)) {
     Diag = "cost profile '" + Path + "' unreadable; using built-in defaults";
     return defaultCostProfile();
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
 
   CostProfile P;
   std::string Error;
-  if (!parseCostProfile(Buf.str(), P, Error)) {
+  if (!parseCostProfile(Json, P, Error)) {
     Diag = "cost profile '" + Path + "' rejected (" + Error +
            "); using built-in defaults";
     return defaultCostProfile();

@@ -6,9 +6,9 @@
 
 #include "daemon/Config.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include "service/Flags.h"
+#include "support/Io.h"
+
 #include <sstream>
 
 using namespace mvec;
@@ -24,62 +24,26 @@ std::string trim(const std::string &S) {
   return S.substr(B, E - B + 1);
 }
 
-bool parseUnsigned(const std::string &V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V.c_str(), &End, 10);
-  return End != V.c_str() && *End == '\0';
-}
-
-bool parseDouble(const std::string &V, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(V.c_str(), &End);
-  return End != V.c_str() && *End == '\0' && Out >= 0;
-}
-
 } // namespace
-
-ShardConfig mvec::daemon::shardConfig(const DaemonConfig &C) {
-  ShardConfig S;
-  S.Workers = C.WorkersPerShard;
-  S.CacheCapacity = C.CacheCapacity;
-  S.NestCacheCapacity = C.NestCacheCapacity;
-  S.MaxQueueDepth = C.MaxQueueDepth;
-  S.Engine = C.Engine;
-  S.CostModel = C.CostModel;
-  S.CostProfile = C.CostProfile;
-  S.Isolation = C.Isolation;
-  S.MemoryLimitMB = C.WorkerMemoryMB;
-  S.CpuLimitSeconds = C.WorkerCpuSeconds;
-  S.HeartbeatIntervalMs = C.HeartbeatIntervalMs;
-  S.HeartbeatTimeoutMs = C.HeartbeatTimeoutMs;
-  S.QuarantineDir = C.QuarantineDir;
-  S.TestHooks = C.SandboxTestHooks;
-  S.Faults = C.Faults;
-  return S;
-}
 
 ShardService mvec::daemon::makeShardService(const ShardConfig &S,
                                             ResultStore *Store,
                                             const std::string &LogTag) {
   ShardService Out;
-  if (S.CostModel == "on") {
-    std::string Diag;
-    Out.Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(S.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "%s: %s\n", LogTag.c_str(), Diag.c_str());
-  }
+  CostMode Cost = CostMode::Off;
+  if (parseCostMode(S.CostModel, Cost) && Cost == CostMode::On)
+    Out.Cost = loadCostModel(S.CostProfile, LogTag);
   ServiceConfig &SC = Out.Config;
-  SC.Workers = S.Workers;
+  SC.Workers = S.WorkersPerShard;
   // The daemon's in-flight gate (MaxQueueDepth) fires before the pool
   // queue can fill, so submit() never blocks a protocol thread on
   // back-pressure.
-  SC.QueueCapacity = S.MaxQueueDepth + S.Workers + 8;
+  SC.QueueCapacity = S.MaxQueueDepth + S.WorkersPerShard + 8;
   SC.CacheCapacity = S.CacheCapacity;
   SC.NestCacheCapacity = S.NestCacheCapacity;
   SC.Store = Store;
   SC.Faults = S.Faults;
-  SC.Engine = S.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
+  parseExecEngine(S.Engine, SC.Engine);
   SC.Cost = Out.Cost.get();
   return Out;
 }
@@ -104,53 +68,56 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
     std::string Value = trim(T.substr(Eq + 1));
     uint64_t U = 0;
     double D = 0;
-    if (Key == "shards" && parseUnsigned(Value, U) && U >= 1 && U <= 256)
+    ExecEngine E;
+    CostMode M;
+    if (Key == "shards" && parseNumber(Value, U) && U >= 1 && U <= 256)
       C.Shards = static_cast<unsigned>(U);
-    else if (Key == "workers_per_shard" && parseUnsigned(Value, U) && U >= 1 &&
+    else if (Key == "workers_per_shard" && parseNumber(Value, U) && U >= 1 &&
              U <= 256)
       C.WorkersPerShard = static_cast<unsigned>(U);
-    else if (Key == "cache_capacity" && parseUnsigned(Value, U))
+    else if (Key == "cache_capacity" && parseNumber(Value, U))
       C.CacheCapacity = U;
-    else if (Key == "nest_cache_capacity" && parseUnsigned(Value, U))
+    else if (Key == "nest_cache_capacity" && parseNumber(Value, U))
       C.NestCacheCapacity = U;
-    else if (Key == "max_queue_depth" && parseUnsigned(Value, U) && U >= 1)
+    else if (Key == "max_queue_depth" && parseNumber(Value, U) && U >= 1)
       C.MaxQueueDepth = U;
     else if (Key == "store_dir")
       C.StoreDir = Value;
-    else if (Key == "store_max_bytes" && parseUnsigned(Value, U))
+    else if (Key == "store_max_bytes" && parseNumber(Value, U))
       C.StoreMaxBytes = U;
-    else if (Key == "tenant_rate" && parseDouble(Value, D))
+    else if (Key == "tenant_rate" && parseNumber(Value, D))
       C.TenantRate = D;
-    else if (Key == "tenant_burst" && parseDouble(Value, D) && D >= 1)
+    else if (Key == "tenant_burst" && parseNumber(Value, D) && D >= 1)
       C.TenantBurst = D;
-    else if (Key == "deadline_ms" && parseUnsigned(Value, U) &&
+    else if (Key == "deadline_ms" && parseNumber(Value, U) &&
              U <= 24ull * 3600 * 1000)
       C.DeadlineMs = static_cast<unsigned>(U);
-    else if (Key == "engine" && (Value == "ast" || Value == "vm"))
+    else if (Key == "engine" && parseExecEngine(Value, E))
       C.Engine = Value;
-    else if (Key == "cost_model" && (Value == "off" || Value == "on"))
+    else if (Key == "cost_model" && parseCostMode(Value, M) &&
+             M != CostMode::Both)
       C.CostModel = Value;
     else if (Key == "cost_profile")
       C.CostProfile = Value;
     else if (Key == "isolation" && (Value == "inproc" || Value == "process"))
       C.Isolation = Value;
-    else if (Key == "worker_memory_mb" && parseUnsigned(Value, U) &&
+    else if (Key == "worker_memory_mb" && parseNumber(Value, U) &&
              U <= (size_t(1) << 20))
       C.WorkerMemoryMB = U;
-    else if (Key == "worker_cpu_s" && parseUnsigned(Value, U) &&
+    else if (Key == "worker_cpu_s" && parseNumber(Value, U) &&
              U <= 24ull * 3600)
       C.WorkerCpuSeconds = static_cast<unsigned>(U);
-    else if (Key == "heartbeat_interval_ms" && parseUnsigned(Value, U) &&
+    else if (Key == "heartbeat_interval_ms" && parseNumber(Value, U) &&
              U >= 1 && U <= 60000)
       C.HeartbeatIntervalMs = static_cast<unsigned>(U);
-    else if (Key == "heartbeat_timeout_ms" && parseUnsigned(Value, U) &&
+    else if (Key == "heartbeat_timeout_ms" && parseNumber(Value, U) &&
              U >= 1 && U <= 600000)
       C.HeartbeatTimeoutMs = static_cast<unsigned>(U);
     else if (Key == "quarantine_dir")
       C.QuarantineDir = Value;
     else if (Key == "sandbox_test_hooks" && (Value == "off" || Value == "on"))
       C.SandboxTestHooks = Value == "on";
-    else if (Key == "max_frame_bytes" && parseUnsigned(Value, U) && U >= 4096)
+    else if (Key == "max_frame_bytes" && parseNumber(Value, U) && U >= 4096)
       C.MaxFrameBytes = U;
     else {
       Error = "line " + std::to_string(LineNo) + ": bad entry '" + T + "'";
@@ -164,14 +131,12 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
 bool mvec::daemon::loadDaemonConfigFile(const std::string &Path,
                                         DaemonConfig &Out,
                                         std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!io::readFile(Path, Text)) {
     Error = "cannot read config file '" + Path + "'";
     return false;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return parseDaemonConfig(SS.str(), Out, Error);
+  return parseDaemonConfig(Text, Out, Error);
 }
 
 std::string mvec::daemon::daemonConfigText(const DaemonConfig &Config) {

@@ -50,17 +50,15 @@ Daemon::~Daemon() {
 
 std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
   auto F = std::make_shared<Fleet>();
-  ShardConfig Cfg = shardConfig(C);
-  ShardService Built = makeShardService(Cfg, Store.get(), "mvecd");
+  ShardService Built = makeShardService(C, Store.get(), "mvecd");
   F->Cost = std::move(Built.Cost);
   F->Shards.reserve(C.Shards);
   for (unsigned I = 0; I != C.Shards; ++I) {
     auto S = std::make_unique<Shard>();
     ServiceConfig SC = Built.Config;
-    if (Cfg.Isolation == "process") {
+    if (C.Isolation == "process") {
       sandbox::SandboxConfig PC;
-      PC.Workers = Cfg.Workers;
-      PC.Shard = Cfg;
+      PC.Shard = C;
       S->Sandbox = std::make_unique<sandbox::SandboxPool>(PC);
       SC.Evaluator = S->Sandbox.get();
       SC.Metrics = &S->Sandbox->metrics();
@@ -207,8 +205,10 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
   // Every shard field is baked into the services and worker processes
   // at build time; a cost-model change also re-fingerprints every cache
   // key, so the memory tiers must be rebuilt anyway.
-  bool FleetChanged = StoreChanged || Applied.Shards != Config.Shards ||
-                      shardConfig(Applied) != shardConfig(Config);
+  bool FleetChanged =
+      StoreChanged || Applied.Shards != Config.Shards ||
+      static_cast<const ShardConfig &>(Applied) !=
+          static_cast<const ShardConfig &>(Config);
 
   if (FleetChanged) {
     // The old store must outlive the old fleet (its services hold a raw

@@ -6,6 +6,8 @@
 
 #include "fuzz/Corpus.h"
 
+#include "support/Io.h"
+
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
@@ -84,15 +86,11 @@ size_t Corpus::load() {
   // replay reports and mutation-donor selection.
   std::sort(Files.begin(), Files.end());
   for (const fs::path &File : Files) {
-    std::ifstream In(File);
-    if (!In)
-      continue;
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
     CorpusEntry Entry;
+    if (!io::readFile(File.string(), Entry.Source))
+      continue;
     Entry.Path = File.string();
     Entry.Name = File.stem().string();
-    Entry.Source = Buffer.str();
     parseHeaders(Entry);
     Entries.push_back(std::move(Entry));
   }

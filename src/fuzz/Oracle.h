@@ -30,6 +30,7 @@
 #define MVEC_FUZZ_ORACLE_H
 
 #include "fuzz/Generator.h"
+#include "service/Flags.h"
 #include "service/VectorizationService.h"
 #include "vectorizer/Options.h"
 
@@ -78,23 +79,6 @@ struct Verdict {
   bool isFinding() const { return S == State::Finding; }
 };
 
-/// Which execution tier(s) the oracle validates with. Ast and Vm pick
-/// one tier for the differential (original vs transformed) runs; Both
-/// additionally cross-checks the two tiers against each other on every
-/// program (original, and the vectorized output when one was produced),
-/// demanding byte-identical behaviour — see engineDiffRun(). A
-/// divergence is a FindingKind::EngineDivergence.
-enum class EngineMode { Ast, Vm, Both };
-
-/// Whether the profitability cost model participates. Off reproduces the
-/// paper's vectorize-whenever-legal behaviour; On attaches a model to
-/// every candidate; Both runs each candidate through *both*
-/// configurations and demands that the two transformed programs behave
-/// identically — keeping a loop (or choosing another mul-chain variant)
-/// must never change semantics. A divergence is a
-/// FindingKind::CostDivergence.
-enum class CostMode { Off, On, Both };
-
 struct OracleConfig {
   /// Service workers for checkBatch.
   unsigned Jobs = 4;
@@ -107,9 +91,9 @@ struct OracleConfig {
   uint64_t MaxSteps = 2000000;
   /// Workspace comparison tolerance (reductions reorder FP sums).
   double Tol = 1e-7;
-  /// Execution tier(s); see EngineMode.
+  /// Tier(s) and cost-model participation; under Both a divergence is an
+  /// EngineDivergence or CostDivergence finding.
   EngineMode Engine = EngineMode::Ast;
-  /// Cost-model participation; see CostMode.
   CostMode Cost = CostMode::Off;
   /// Model used under CostMode::On/Both (null = the built-in conservative
   /// profile). Must outlive the oracle.

@@ -20,7 +20,7 @@
 /// A worker builds its service from the shard's daemon::ShardConfig
 /// through daemon::makeShardService, the same path the shard's own
 /// service takes, minus the result tiers; SandboxConfig adds only the
-/// pool size and the supervisor's respawn and crash-loop policy.
+/// supervisor's respawn and crash-loop policy.
 ///
 /// Failure taxonomy (WorkerFailure): every way a worker can stop serving
 /// is classified so metrics, quarantine headers, and logs agree on
@@ -70,11 +70,9 @@ const char *workerFailureName(WorkerFailure F);
 /// One shard's worker pool: how many workers, what each one is built
 /// from, and how the supervisor respawns them.
 struct SandboxConfig {
-  /// Worker processes in the pool (one shard's worth; clamped >= 1).
-  unsigned Workers = 2;
-  /// The service each worker runs and the limits it runs under; the same
-  /// fields (and the same makeShardService) the shard's own service is
-  /// built from, so the two cannot drift apart.
+  /// The pool size (WorkersPerShard, clamped >= 1) and each worker's
+  /// service and limits: the fields (and makeShardService) the shard's own
+  /// service is built from, so the two cannot drift apart.
   daemon::ShardConfig Shard;
   /// Backoff between respawn attempts of one worker slot; the retry
   /// number is the slot's consecutive-failure streak, so a crash-looping

@@ -78,7 +78,7 @@ unsigned remainingMs(Clock::time_point Deadline) {
 
 SandboxPool::SandboxPool(SandboxConfig C)
     : Config(std::move(C)), Breaker(Config.CrashLoop) {
-  unsigned N = std::max(1u, Config.Workers);
+  unsigned N = std::max(1u, Config.Shard.WorkersPerShard);
   Slots.reserve(N);
   for (unsigned I = 0; I != N; ++I) {
     auto S = std::make_unique<Slot>();

@@ -14,12 +14,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -91,9 +92,23 @@ void applyLimit(int Resource, rlim_t Limit) {
   ::setrlimit(Resource, &L); // Best-effort; containment, not correctness.
 }
 
+/// This process's address-space size in bytes (0 when /proc/self/statm
+/// cannot be read). Raw read(2): an iostream would grow an idle worker's
+/// resident set by its locale setup.
+rlim_t addressSpaceBytes() {
+  char Buf[32] = {};
+  int Fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return 0;
+  ssize_t N = io::readSome(Fd, Buf, sizeof(Buf) - 1);
+  ::close(Fd);
+  return N > 0 ? std::strtoull(Buf, nullptr, 10) * ::sysconf(_SC_PAGESIZE)
+               : 0;
+}
+
 /// Crash-campaign hooks: markers in a request body that make this worker
 /// misbehave in a specific classified way. Gated behind
-/// SandboxConfig::TestHooks; in production the markers are inert MATLAB
+/// ShardConfig::SandboxTestHooks; in production the markers are inert MATLAB
 /// comments.
 [[noreturn]] void runTestHook(const std::string &Marker) {
   if (Marker == "crash")
@@ -101,18 +116,22 @@ void applyLimit(int Resource, rlim_t Limit) {
   if (Marker == "exit")
     ::_exit(7); // -> `exit-error`.
   if (Marker == "oom") {
-    // Allocate-and-touch until the address space runs out, then emulate
-    // the kernel OOM killer faithfully (it delivers SIGKILL) so the
-    // parent exercises the same classification path a real OOM takes.
-    try {
-      std::vector<char *> Hog;
-      for (;;) {
-        char *P = new char[16 << 20];
-        std::memset(P, 0x5a, 16 << 20);
-        Hog.push_back(P);
-      }
-    } catch (const std::bad_alloc &) {
+    // Map-and-touch (a sanitizer aborts on allocator failure) until the
+    // address space runs out, then emulate the kernel OOM killer's SIGKILL
+    // so the parent exercises a real OOM's classification path; one chunk
+    // goes back so a sanitizer runtime has room to deliver the kill.
+    constexpr size_t Chunk = 16 << 20;
+    void *Last = nullptr;
+    for (;;) {
+      void *P = ::mmap(nullptr, Chunk, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (P == MAP_FAILED)
+        break;
+      std::memset(P, 0x5a, Chunk);
+      Last = P;
     }
+    if (Last)
+      ::munmap(Last, Chunk);
     ::raise(SIGKILL);
   }
   // "spin": wedge without burning a full core so RLIMIT_CPU does not
@@ -173,10 +192,12 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
 #endif
   closeAllFdsExcept(Fd);
   const ShardConfig &Shard = Config.Shard;
-  if (Shard.MemoryLimitMB)
-    applyLimit(RLIMIT_AS, static_cast<rlim_t>(Shard.MemoryLimitMB) << 20);
-  if (Shard.CpuLimitSeconds)
-    applyLimit(RLIMIT_CPU, Shard.CpuLimitSeconds);
+  // Headroom above the forked image (see ShardConfig::WorkerMemoryMB).
+  if (Shard.WorkerMemoryMB)
+    applyLimit(RLIMIT_AS,
+               addressSpaceBytes() + (rlim_t(Shard.WorkerMemoryMB) << 20));
+  if (Shard.WorkerCpuSeconds)
+    applyLimit(RLIMIT_CPU, Shard.WorkerCpuSeconds);
 
   // Everything below is freshly constructed. No result tier: the
   // daemon's shard service owns every cached result.
@@ -234,7 +255,7 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
       break;
     case Verb::Vec: {
       std::string Marker;
-      if (Shard.TestHooks && findTestHook(Req.Body, Marker))
+      if (Shard.SandboxTestHooks && findTestHook(Req.Body, Marker))
         runTestHook(Marker); // noreturn
       JobResult Result = Service.submit(jobSpecFromRequest(Req)).get();
       VectorizeStats Stats = Result.Stats;

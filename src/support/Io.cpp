@@ -6,9 +6,13 @@
 
 #include "support/Io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -121,5 +125,36 @@ bool io::writeFull(int Fd, const void *Buf, size_t Len) {
       continue;
     return false;
   }
+  return true;
+}
+
+bool io::readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  Out = SS.str();
+  return true;
+}
+
+bool io::readScripts(const std::string &Dir,
+                     std::vector<std::pair<std::string, std::string>> &Out) {
+  namespace fs = std::filesystem;
+  std::error_code EC;
+  std::vector<std::string> Paths;
+  for (fs::recursive_directory_iterator It(Dir, EC), End; It != End;
+       It.increment(EC)) {
+    if (EC)
+      return false;
+    if (It->is_regular_file() && It->path().extension() == ".m")
+      Paths.push_back(It->path().string());
+  }
+  if (EC)
+    return false;
+  std::sort(Paths.begin(), Paths.end());
+  for (const std::string &Path : Paths)
+    if (!readFile(Path, Out.emplace_back(Path, "").second))
+      return false;
   return true;
 }

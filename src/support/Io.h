@@ -30,7 +30,10 @@
 #define MVEC_SUPPORT_IO_H
 
 #include <cstddef>
+#include <string>
 #include <sys/types.h>
+#include <utility>
+#include <vector>
 
 namespace mvec {
 namespace io {
@@ -60,6 +63,15 @@ bool sendFull(int Fd, const void *Buf, size_t Len, int TimeoutMs = -1);
 /// to dead readers fail with EPIPE only if SIGPIPE is ignored —
 /// callers on pipes must arrange that themselves).
 bool writeFull(int Fd, const void *Buf, size_t Len);
+
+/// The whole file \p Path, read as bytes; false when it cannot be read.
+bool readFile(const std::string &Path, std::string &Out);
+
+/// Appends every `.m` file under \p Dir (recursively), sorted by path,
+/// as (path, contents) to \p Out; false when the directory or a file
+/// cannot be read.
+bool readScripts(const std::string &Dir,
+                 std::vector<std::pair<std::string, std::string>> &Out);
 
 } // namespace io
 } // namespace mvec

@@ -556,6 +556,34 @@ TEST(DaemonConfigParse, RoundTripThroughText) {
   EXPECT_EQ(Back.StoreDir, "/tmp/some/store");
   EXPECT_DOUBLE_EQ(Back.TenantRate, 12.5);
   EXPECT_EQ(Back.DeadlineMs, 777u);
+
+  // Every key at a non-default value survives the trip: a field dropped
+  // from the parser or the printer shows up as a text difference.
+  C.CacheCapacity = 99;
+  C.NestCacheCapacity = 77;
+  C.MaxQueueDepth = 55;
+  C.StoreMaxBytes = 12345;
+  C.TenantBurst = 3.25;
+  C.Engine = "vm";
+  C.CostModel = "on";
+  C.CostProfile = "/tmp/costs.mvec.json";
+  C.Isolation = "process";
+  C.WorkerMemoryMB = 64;
+  C.WorkerCpuSeconds = 9;
+  C.HeartbeatIntervalMs = 33;
+  C.HeartbeatTimeoutMs = 444;
+  C.QuarantineDir = "/tmp/quarantine";
+  C.SandboxTestHooks = true;
+  C.MaxFrameBytes = 8192;
+  std::string Text = daemonConfigText(C);
+  std::string Defaults = daemonConfigText(DaemonConfig());
+  for (size_t At = 0, Nl; (Nl = Text.find('\n', At)) != std::string::npos;
+       At = Nl + 1)
+    EXPECT_EQ(Defaults.find(Text.substr(At, Nl - At + 1)), std::string::npos)
+        << "left at its default: " << Text.substr(At, Nl - At);
+  DaemonConfig All;
+  ASSERT_TRUE(parseDaemonConfig(Text, All, Error)) << Error;
+  EXPECT_EQ(daemonConfigText(All), Text);
 }
 
 TEST(DaemonConfigParse, CommentsAndPartialOverrides) {

@@ -15,7 +15,7 @@
 /// the shared EINTR/partial-I/O helpers in support/Io.h.
 ///
 /// Crash inputs are injected with the `%!sandbox-*` test hooks (see
-/// Worker.cpp), which only exist when SandboxConfig::TestHooks is set.
+/// Worker.cpp), which only exist when ShardConfig::SandboxTestHooks is set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,11 +88,11 @@ daemon::Request vecRequest(const std::string &Body) {
 SandboxConfig testConfig(const std::string &QuarantineDir,
                          unsigned Workers = 1) {
   SandboxConfig C;
-  C.Workers = Workers;
+  C.Shard.WorkersPerShard = Workers;
   C.Shard.HeartbeatIntervalMs = 50;
   C.Shard.HeartbeatTimeoutMs = 1000;
   C.Shard.QuarantineDir = QuarantineDir;
-  C.Shard.TestHooks = true;
+  C.Shard.SandboxTestHooks = true;
   C.Respawn = RetryPolicy{3, std::chrono::milliseconds(10), 2.0, 0.5,
                           std::chrono::milliseconds(200)};
   return C;
@@ -111,8 +111,7 @@ daemon::DaemonConfig processDaemonConfig(const std::string &QuarantineDir,
   C.QuarantineDir = QuarantineDir;
   C.StoreDir = StoreDir;
   C.HeartbeatIntervalMs = 50;
-  // No address-space cap: a sanitizer build's shadow mappings alone
-  // exceed the default 512 MiB.
+  // No address-space cap: these tests are about serving, not limits.
   C.WorkerMemoryMB = 0;
   return C;
 }
@@ -332,7 +331,7 @@ TEST(SandboxPool, OomKilledWorkerIsContainedAndClassified) {
   ScratchDir Quarantine("oom");
   SandboxConfig C = testConfig(Quarantine.path());
   // Keep the hook's doomed allocation spree small.
-  C.Shard.MemoryLimitMB = 256;
+  C.Shard.WorkerMemoryMB = 256;
   SandboxPool Pool(C);
   ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() == 1; }));
 
@@ -585,15 +584,14 @@ TEST(DaemonSandbox, WorkersRunTheShardsEngineAndCostModel) {
   C.Engine = "vm";
   C.CostModel = "on";
   C.QuarantineDir = Quarantine.path();
-  // No address-space cap: a sanitizer build's shadow mappings alone
-  // exceed the default 512 MiB, and this test is about the service.
+  // No address-space cap: this test is about the service, not limits.
   C.WorkerMemoryMB = 0;
   // The pool one shard of a daemon with this config runs (as
   // Daemon::makeFleet builds it), narrowed to one worker so the STATS
   // frame below reaches the worker that served the request.
   SandboxConfig SC;
-  SC.Workers = 1;
-  SC.Shard = daemon::shardConfig(C);
+  SC.Shard = C;
+  SC.Shard.WorkersPerShard = 1;
   SandboxPool Pool(SC);
   ASSERT_TRUE(eventually(3000, [&] { return Pool.liveWorkers() == 1; }));
 

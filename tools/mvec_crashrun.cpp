@@ -25,13 +25,16 @@
 ///
 /// Options:
 ///   --seconds N      soak duration (default 5)
-///   --shards N       daemon shards (default 2)
-///   --workers N      sandbox workers per shard (default 2)
+///   --shards N       daemon shards (default 2; 1-256, the `shards` key)
+///   --workers N      sandbox workers per shard (default 2; 1-256, the
+///                    `workers_per_shard` key)
 ///   --clients N      driver threads (default 4)
 ///   --kill-every-ms N  killer thread period (default 40; 0 disables)
 ///   --hooks          also inject %!sandbox-crash / -oom / -spin bodies
 ///   --store DIR      disk store directory (default: private temp dir)
 ///   --json           machine-readable summary on stdout
+///
+/// A malformed or out-of-range flag value exits 2 (src/service/Flags.h).
 ///
 /// Exit status: 0 when every invariant held, 1 on any violation, 2 on
 /// usage errors.
@@ -40,11 +43,11 @@
 
 #include "daemon/Daemon.h"
 #include "sandbox/Quarantine.h"
+#include "service/Flags.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -101,37 +104,33 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  unsigned Seconds = 5, Shards = 2, Workers = 2, Clients = 4;
+  unsigned Seconds = 5, Clients = 4;
   unsigned KillEveryMs = 40;
   bool Hooks = false, Json = false;
   std::string StoreDir;
+  // --shards/--workers go through the daemon's own config validators.
+  std::string Overrides;
 
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto NextValue = [&](unsigned &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
-      return true;
-    };
-    if (Arg == "--seconds" && NextValue(Seconds))
-      ;
-    else if (Arg == "--shards" && NextValue(Shards) && Shards >= 1)
-      ;
-    else if (Arg == "--workers" && NextValue(Workers) && Workers >= 1)
-      ;
-    else if (Arg == "--clients" && NextValue(Clients) && Clients >= 1)
-      ;
-    else if (Arg == "--kill-every-ms" && NextValue(KillEveryMs))
-      ;
-    else if (Arg == "--hooks")
-      Hooks = true;
-    else if (Arg == "--store" && I + 1 != Argc)
-      StoreDir = Argv[++I];
-    else if (Arg == "--json")
-      Json = true;
+  FlagReader F(Argc, Argv);
+  std::string Value;
+  while (F.next()) {
+    if (F.read("--seconds", Seconds) || F.read("--clients", Clients, 1) ||
+        F.read("--kill-every-ms", KillEveryMs) || F.read("--store", StoreDir) ||
+        F.flag("--hooks", Hooks) || F.flag("--json", Json))
+      continue;
+    if (F.read("--shards", Value))
+      Overrides += "shards = " + Value + "\n";
+    else if (F.read("--workers", Value))
+      Overrides += "workers_per_shard = " + Value + "\n";
     else
       return usage(Argv[0]);
+  }
+
+  DaemonConfig Config;
+  std::string Error;
+  if (!parseDaemonConfig(Overrides, Config, Error)) {
+    std::fprintf(stderr, "mvec_crashrun: %s\n", Error.c_str());
+    return usage(Argv[0]);
   }
 
   std::string Scratch = "/tmp/mvec_crashrun." + std::to_string(::getpid());
@@ -140,10 +139,7 @@ int main(int Argc, char **Argv) {
   std::string QuarantineDir = Scratch + "/quarantine";
   fs::create_directories(StoreDir);
 
-  DaemonConfig Config;
   Config.Isolation = "process";
-  Config.Shards = Shards;
-  Config.WorkersPerShard = Workers;
   Config.StoreDir = StoreDir;
   Config.DeadlineMs = 4000;
   Config.HeartbeatIntervalMs = 100;
@@ -158,8 +154,8 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr,
                "crashrun: %u shard(s) x %u worker(s), %u client(s), "
                "kill every %u ms, hooks %s, %u s soak\n",
-               Shards, Workers, Clients, KillEveryMs, Hooks ? "on" : "off",
-               Seconds);
+               Config.Shards, Config.WorkersPerShard, Clients, KillEveryMs,
+               Hooks ? "on" : "off", Seconds);
 
   {
     Daemon D(Config);
@@ -257,7 +253,11 @@ int main(int Argc, char **Argv) {
           size_t K = J.find(Needle, Pos);
           if (K == std::string::npos || K > End)
             continue;
-          Total += std::strtoull(J.c_str() + K + Needle.size(), nullptr, 10);
+          size_t From = K + Needle.size();
+          uint64_t V = 0;
+          size_t To = J.find_first_of(",}", From);
+          if (parseNumber(J.substr(From, To - From), V))
+            Total += V;
         }
         return Total;
       };

@@ -48,23 +48,25 @@
 ///   --no-chaos        skip the everything-armed plan
 ///   --json            machine-readable per-plan summary on stdout
 ///
+/// A malformed or out-of-range flag value exits 2 (src/service/Flags.h);
+/// --jobs 0 and --period 0 mean 1.
+///
 /// Exit status: 0 when every invariant held over every plan, 1 on any
 /// violation, 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "cost/CostModel.h"
-#include "interp/simd/SimdDispatch.h"
 #include "resilience/FaultInjection.h"
+#include "service/Flags.h"
 #include "service/VectorizationService.h"
+#include "support/Io.h"
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -93,42 +95,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-/// Every .m file under \p Dir, recursively, sorted for determinism.
-bool collectScripts(const std::string &Dir, std::vector<JobSpec> &Specs) {
-  namespace fs = std::filesystem;
-  std::error_code EC;
-  std::vector<std::string> Paths;
-  for (fs::recursive_directory_iterator It(Dir, EC), End; It != End;
-       It.increment(EC)) {
-    if (EC)
-      return false;
-    if (It->is_regular_file() && It->path().extension() == ".m")
-      Paths.push_back(It->path().string());
-  }
-  if (EC)
-    return false;
-  std::sort(Paths.begin(), Paths.end());
-  for (const std::string &Path : Paths) {
-    JobSpec Spec;
-    Spec.Name = Path;
-    if (!readFile(Path, Spec.Source))
-      return false;
-    Spec.Validate = true;
-    Specs.push_back(std::move(Spec));
-  }
-  return true;
-}
-
 bool parseList(const std::string &Csv, std::vector<std::string> &Out) {
   std::string Item;
   std::istringstream SS(Csv);
@@ -155,14 +121,8 @@ struct PlanTally {
 /// Runs every spec through a fresh service armed with \p Plan and checks
 /// the resilience contract on each result.
 PlanTally runPlan(const Campaign &C, const std::vector<JobSpec> &Specs,
-                  unsigned Jobs, unsigned DeadlineMs, ExecEngine Engine,
-                  const cost::CostModel *Cost) {
-  ServiceConfig SC;
-  SC.Workers = Jobs;
-  SC.DefaultDeadline = std::chrono::milliseconds(DeadlineMs);
+                  ServiceConfig SC) {
   SC.Faults = C.Plan.Rules.empty() ? nullptr : &C.Plan;
-  SC.Engine = Engine;
-  SC.Cost = Cost;
   VectorizationService Service(SC);
 
   PlanTally T;
@@ -223,78 +183,52 @@ int main(int Argc, char **Argv) {
   std::signal(SIGTERM, onStopSignal);
 
   uint64_t Seed = 1;
-  unsigned Jobs = 4;
-  unsigned DeadlineMs = 5000;
+  ServiceConfig SC; // --jobs 4 is its default.
+  SC.DefaultDeadline = std::chrono::milliseconds(5000);
   unsigned Period = 1;
-  ExecEngine Engine = ExecEngine::Ast;
-  bool CostOn = false;
+  CostMode Cost = CostMode::Off;
   std::string CostProfile;
   bool Chaos = true;
   bool Json = false;
   std::vector<std::string> Dirs;
   std::vector<std::string> SiteNames, KindNames;
 
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = std::strtoull(Argv[++I], nullptr, 10);
-      return true;
-    };
-    uint64_t Value = 0;
-    if (Arg == "--seed" && NextValue(Value))
-      Seed = Value;
-    else if (Arg == "--jobs" && NextValue(Value))
-      Jobs = std::max<unsigned>(1, static_cast<unsigned>(Value));
-    else if (Arg == "--deadline-ms" && NextValue(Value))
-      DeadlineMs = static_cast<unsigned>(Value);
-    else if (Arg == "--period" && NextValue(Value))
-      Period = std::max<unsigned>(1, static_cast<unsigned>(Value));
-    else if (Arg == "--corpus" && I + 1 != Argc)
-      Dirs.push_back(Argv[++I]);
-    else if (Arg == "--sites" && I + 1 != Argc) {
-      if (!parseList(Argv[++I], SiteNames))
+  FlagReader F(Argc, Argv);
+  std::string Value;
+  while (F.next()) {
+    if (F.read("--seed", Seed) || F.read("--jobs", SC.Workers) ||
+        F.read("--deadline-ms", SC.DefaultDeadline) ||
+        F.read("--period", Period) || F.engine(SC.Engine) ||
+        F.costModel(Cost) || F.costProfile(CostProfile) || F.simd() ||
+        F.flag("--no-chaos", Chaos, false) || F.flag("--json", Json))
+      continue;
+    if (F.read("--corpus", Value))
+      Dirs.push_back(Value);
+    else if (F.read("--sites", Value)) {
+      if (!parseList(Value, SiteNames))
         return usage(Argv[0]);
-    } else if (Arg == "--kinds" && I + 1 != Argc) {
-      if (!parseList(Argv[++I], KindNames))
+    } else if (F.read("--kinds", Value)) {
+      if (!parseList(Value, KindNames))
         return usage(Argv[0]);
-    } else if (Arg == "--engine" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "ast")
-        Engine = ExecEngine::Ast;
-      else if (Mode == "vm")
-        Engine = ExecEngine::Vm;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-model" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "off")
-        CostOn = false;
-      else if (Mode == "on")
-        CostOn = true;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 != Argc) {
-      CostProfile = Argv[++I];
-    } else if (simd::handleSimdFlag(Argc, Argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else if (Arg == "--no-chaos")
-      Chaos = false;
-    else if (Arg == "--json")
-      Json = true;
-    else
+    } else
       return usage(Argv[0]);
   }
-  if (Dirs.empty())
+  Period = std::max(1u, Period);
+  if (Dirs.empty() || Cost == CostMode::Both)
     return usage(Argv[0]);
 
-  std::vector<JobSpec> Specs;
+  std::vector<std::pair<std::string, std::string>> Scripts;
   for (const std::string &Dir : Dirs) {
-    if (!collectScripts(Dir, Specs)) {
+    if (!io::readScripts(Dir, Scripts)) {
       std::fprintf(stderr, "error: cannot read corpus '%s'\n", Dir.c_str());
       return 2;
     }
+  }
+  std::vector<JobSpec> Specs(Scripts.size());
+  for (size_t I = 0; I != Scripts.size(); ++I) {
+    Specs[I].Name = Scripts[I].first;
+    Specs[I].Source = Scripts[I].second;
+    Specs[I].Validate = true;
   }
   if (Specs.empty()) {
     std::fprintf(stderr, "error: no .m files under the given corpora\n");
@@ -367,14 +301,10 @@ int main(int Argc, char **Argv) {
     Campaigns.push_back(std::move(C));
   }
 
-  std::unique_ptr<cost::CostModel> Cost;
-  if (CostOn) {
-    std::string Diag;
-    Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec_faultrun: %s\n", Diag.c_str());
-  }
+  std::unique_ptr<cost::CostModel> Model;
+  if (Cost == CostMode::On)
+    Model = loadCostModel(CostProfile, "mvec_faultrun");
+  SC.Cost = Model.get();
 
   auto Start = std::chrono::steady_clock::now();
   uint64_t TotalJobs = 0, TotalViolations = 0;
@@ -386,7 +316,7 @@ int main(int Argc, char **Argv) {
       break;
     ++PlansRun;
     const Campaign &C = Campaigns[P];
-    PlanTally T = runPlan(C, Specs, Jobs, DeadlineMs, Engine, Cost.get());
+    PlanTally T = runPlan(C, Specs, SC);
     TotalJobs += Specs.size();
     TotalViolations += T.Violations.size();
     if (Json) {

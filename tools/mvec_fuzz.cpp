@@ -47,15 +47,18 @@
 ///   --replay            re-run the corpus as a regression suite and exit
 ///   --stats             print service metrics at the end
 ///
+/// A malformed or out-of-range flag value exits 2 (src/service/Flags.h);
+/// --jobs 0 means 1 and --mutate-percent is capped at 100.
+///
 //===----------------------------------------------------------------------===//
 
 #include "cost/CostModel.h"
 #include "fuzz/Corpus.h"
-#include "interp/simd/SimdDispatch.h"
 #include "fuzz/Generator.h"
 #include "fuzz/Mutator.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Reducer.h"
+#include "service/Flags.h"
 
 #include <chrono>
 #include <csignal>
@@ -96,17 +99,13 @@ int usage(const char *Argv0) {
   return 2;
 }
 
+/// The driver's options; the oracle's are read into its OracleConfig.
 struct FuzzOptions {
   uint64_t Seed = 1;
   unsigned TimeSeconds = 30;
   uint64_t MaxPrograms = 0;
-  unsigned Jobs = 4;
   std::string CorpusDir;
-  unsigned DeadlineMs = 2000;
-  uint64_t MaxSteps = 2000000;
-  int MutatePercent = 40;
-  EngineMode Engine = EngineMode::Ast;
-  CostMode Cost = CostMode::Off;
+  unsigned MutatePercent = 40;
   std::string CostProfile;
   bool Reduce = true;
   bool SaveNew = false;
@@ -178,85 +177,34 @@ int main(int Argc, char **Argv) {
   std::signal(SIGTERM, onStopSignal);
 
   FuzzOptions Opt;
+  OracleConfig OC;
   bool CorpusExplicit = false;
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = std::strtoull(Argv[++I], nullptr, 10);
-      return true;
-    };
-    uint64_t Value = 0;
-    if (Arg == "--seed" && NextValue(Value))
-      Opt.Seed = Value;
-    else if (Arg == "--time" && NextValue(Value))
-      Opt.TimeSeconds = static_cast<unsigned>(Value);
-    else if (Arg == "--max-programs" && NextValue(Value))
-      Opt.MaxPrograms = Value;
-    else if (Arg == "--jobs" && NextValue(Value))
-      Opt.Jobs = std::max<unsigned>(1, static_cast<unsigned>(Value));
-    else if (Arg == "--corpus" && I + 1 != Argc) {
-      Opt.CorpusDir = Argv[++I];
+  FlagReader F(Argc, Argv);
+  while (F.next()) {
+    if (F.read("--seed", Opt.Seed) || F.read("--time", Opt.TimeSeconds) ||
+        F.read("--max-programs", Opt.MaxPrograms) ||
+        F.read("--jobs", OC.Jobs) || F.read("--deadline-ms", OC.Deadline) ||
+        F.read("--max-steps", OC.MaxSteps) ||
+        F.read("--mutate-percent", Opt.MutatePercent) ||
+        F.engine(OC.Engine) || F.costModel(OC.Cost) ||
+        F.costProfile(Opt.CostProfile) || F.simd() ||
+        F.flag("--no-reduce", Opt.Reduce, false) ||
+        F.flag("--save-new", Opt.SaveNew) || F.flag("--replay", Opt.Replay) ||
+        F.flag("--stats", Opt.Stats))
+      continue;
+    if (F.read("--corpus", Opt.CorpusDir))
       CorpusExplicit = true;
-    } else if (Arg == "--deadline-ms" && NextValue(Value))
-      Opt.DeadlineMs = static_cast<unsigned>(Value);
-    else if (Arg == "--max-steps" && NextValue(Value))
-      Opt.MaxSteps = Value;
-    else if (Arg == "--mutate-percent" && NextValue(Value))
-      Opt.MutatePercent = std::min(100, static_cast<int>(Value));
-    else if (Arg == "--engine" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "ast")
-        Opt.Engine = EngineMode::Ast;
-      else if (Mode == "vm")
-        Opt.Engine = EngineMode::Vm;
-      else if (Mode == "both")
-        Opt.Engine = EngineMode::Both;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-model" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "off")
-        Opt.Cost = CostMode::Off;
-      else if (Mode == "on")
-        Opt.Cost = CostMode::On;
-      else if (Mode == "both")
-        Opt.Cost = CostMode::Both;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 != Argc) {
-      Opt.CostProfile = Argv[++I];
-    } else if (simd::handleSimdFlag(Argc, Argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else if (Arg == "--no-reduce")
-      Opt.Reduce = false;
-    else if (Arg == "--save-new")
-      Opt.SaveNew = true;
-    else if (Arg == "--replay")
-      Opt.Replay = true;
-    else if (Arg == "--stats")
-      Opt.Stats = true;
     else
       return usage(Argv[0]);
   }
+  Opt.MutatePercent = std::min(100u, Opt.MutatePercent);
   if (Opt.CorpusDir.empty() && !CorpusExplicit &&
       std::filesystem::is_directory("corpus"))
     Opt.CorpusDir = "corpus";
 
-  OracleConfig OC;
-  OC.Jobs = Opt.Jobs;
-  OC.Deadline = std::chrono::milliseconds(Opt.DeadlineMs);
-  OC.MaxSteps = Opt.MaxSteps;
-  OC.Engine = Opt.Engine;
-  OC.Cost = Opt.Cost;
   std::unique_ptr<cost::CostModel> Model;
-  if (Opt.Cost != CostMode::Off) {
-    std::string Diag;
-    Model = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(Opt.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec_fuzz: %s\n", Diag.c_str());
+  if (OC.Cost != CostMode::Off) {
+    Model = loadCostModel(Opt.CostProfile, "mvec_fuzz");
     OC.Model = Model.get();
   }
   Oracle O(OC);
@@ -293,7 +241,7 @@ int main(int Argc, char **Argv) {
   // buckets (already triaged in the corpus) are counted separately.
   std::map<std::string, Finding> NewBuckets;
   std::map<std::string, uint64_t> KnownBucketHits;
-  const size_t BatchSize = std::max<size_t>(8, 4 * Opt.Jobs);
+  const size_t BatchSize = std::max<size_t>(8, 4 * OC.Jobs);
 
   while (!expired() &&
          (Opt.MaxPrograms == 0 || Produced < Opt.MaxPrograms)) {

@@ -27,12 +27,16 @@
 ///   --stats            fetch daemon metrics (STATS) after the run
 ///   --json             machine-readable summary on stdout
 ///
+/// A malformed or out-of-range flag value exits 2 (src/service/Flags.h).
+///
 /// Exit status: 0 when every request was answered with code 200; 1 when
 /// any request failed at the protocol/transport level; 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Protocol.h"
+#include "service/Flags.h"
+#include "support/Io.h"
 
 #include <algorithm>
 #include <atomic>
@@ -40,11 +44,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,32 +159,6 @@ private:
   FrameReader Reader;
 };
 
-bool collectScripts(const std::string &Dir,
-                    std::vector<std::pair<std::string, std::string>> &Out) {
-  namespace fs = std::filesystem;
-  std::error_code EC;
-  std::vector<std::string> Paths;
-  for (fs::recursive_directory_iterator It(Dir, EC), End; It != End;
-       It.increment(EC)) {
-    if (EC)
-      return false;
-    if (It->is_regular_file() && It->path().extension() == ".m")
-      Paths.push_back(It->path().string());
-  }
-  if (EC)
-    return false;
-  std::sort(Paths.begin(), Paths.end());
-  for (const std::string &Path : Paths) {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In)
-      return false;
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Out.emplace_back(Path, SS.str());
-  }
-  return true;
-}
-
 /// Per-thread tally, merged after the run.
 struct Tally {
   std::vector<double> LatenciesMs;
@@ -207,50 +182,22 @@ double percentile(std::vector<double> &Sorted, double P) {
 
 int main(int Argc, char **Argv) {
   LoadOptions Opt;
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = std::strtoull(Argv[++I], nullptr, 10);
-      return true;
-    };
-    auto NextDouble = [&](double &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = std::strtod(Argv[++I], nullptr);
-      return Out >= 0;
-    };
-    uint64_t Value = 0;
-    double DValue = 0;
-    if (Arg == "--host" && I + 1 != Argc)
-      Opt.Host = Argv[++I];
-    else if (Arg == "--port" && NextValue(Value) && Value <= 65535)
-      Opt.Port = static_cast<uint16_t>(Value);
-    else if (Arg == "--corpus" && I + 1 != Argc)
-      Opt.CorpusDirs.push_back(Argv[++I]);
-    else if (Arg == "--clients" && NextValue(Value) && Value >= 1)
-      Opt.Clients = static_cast<unsigned>(Value);
-    else if (Arg == "--tenants" && NextValue(Value) && Value >= 1)
-      Opt.Tenants = static_cast<unsigned>(Value);
-    else if (Arg == "--duration" && NextValue(Value))
-      Opt.DurationSeconds = static_cast<unsigned>(Value);
-    else if (Arg == "--requests" && NextValue(Value))
-      Opt.MaxRequests = Value;
-    else if (Arg == "--rate" && NextDouble(DValue))
-      Opt.Rate = DValue;
-    else if (Arg == "--skew" && NextDouble(DValue))
-      Opt.Skew = DValue;
-    else if (Arg == "--deadline-ms" && NextValue(Value))
-      Opt.DeadlineMs = static_cast<unsigned>(Value);
-    else if (Arg == "--no-validate")
-      Opt.Validate = false;
-    else if (Arg == "--seed" && NextValue(Value))
-      Opt.Seed = Value;
-    else if (Arg == "--stats")
-      Opt.Stats = true;
-    else if (Arg == "--json")
-      Opt.Json = true;
+  mvec::FlagReader F(Argc, Argv);
+  std::string CorpusDir;
+  while (F.next()) {
+    if (F.read("--host", Opt.Host) || F.read("--port", Opt.Port) ||
+        F.read("--clients", Opt.Clients, 1) ||
+        F.read("--tenants", Opt.Tenants, 1) ||
+        F.read("--duration", Opt.DurationSeconds) ||
+        F.read("--requests", Opt.MaxRequests) || F.read("--rate", Opt.Rate) ||
+        F.read("--skew", Opt.Skew) ||
+        F.read("--deadline-ms", Opt.DeadlineMs) ||
+        F.read("--seed", Opt.Seed) ||
+        F.flag("--no-validate", Opt.Validate, false) ||
+        F.flag("--stats", Opt.Stats) || F.flag("--json", Opt.Json))
+      continue;
+    if (F.read("--corpus", CorpusDir))
+      Opt.CorpusDirs.push_back(CorpusDir);
     else
       return usage(Argv[0]);
   }
@@ -259,7 +206,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<std::pair<std::string, std::string>> Scripts;
   for (const std::string &Dir : Opt.CorpusDirs) {
-    if (!collectScripts(Dir, Scripts)) {
+    if (!mvec::io::readScripts(Dir, Scripts)) {
       std::fprintf(stderr, "error: cannot read corpus '%s'\n", Dir.c_str());
       return 2;
     }

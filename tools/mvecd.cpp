@@ -15,13 +15,18 @@
 ///   --bind ADDR         bind address (default 127.0.0.1)
 ///   --config FILE       daemon config file (key = value lines); also the
 ///                       file re-read on SIGHUP
-///   --store DIR         disk store directory (overrides the config file)
-///   --shards N          shard count (overrides the config file)
-///   --workers N         worker threads per shard (overrides the config file)
-///   --isolation MODE    inproc | process (overrides the config file):
-///                       process runs each shard's workers as forked,
-///                       rlimit-capped, supervised sandbox processes
+///   --store DIR         disk store directory (store_dir)
+///   --shards N          shard count, 1-256 (shards)
+///   --workers N         worker threads per shard, 1-256
+///                       (workers_per_shard)
+///   --isolation MODE    inproc | process (isolation): process runs each
+///                       shard's workers as forked, rlimit-capped,
+///                       supervised sandbox processes
 ///   --print-config      dump the effective config and exit
+///
+/// The four overrides stand for the config keys in parentheses: they are
+/// applied over --config through the same validators, so a value the
+/// file would reject is a usage error here too (exit 2).
 ///
 /// On boot the effective port is announced on stdout as
 ///   mvecd: listening on <addr>:<port>
@@ -36,6 +41,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Server.h"
+#include "service/Flags.h"
 
 #include <csignal>
 #include <cstdio>
@@ -68,58 +74,41 @@ int main(int Argc, char **Argv) {
   uint16_t Port = 4871;
   std::string Bind = "127.0.0.1";
   std::string ConfigFile;
-  std::string StoreOverride;
-  std::string IsolationOverride;
-  unsigned ShardsOverride = 0, WorkersOverride = 0;
+  std::string Overrides; // Config lines the override flags stand for.
   bool PrintConfig = false;
 
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 == Argc)
-        return false;
-      Out = std::strtoull(Argv[++I], nullptr, 10);
-      return true;
-    };
-    uint64_t Value = 0;
-    if (Arg == "--port" && NextValue(Value) && Value <= 65535)
-      Port = static_cast<uint16_t>(Value);
-    else if (Arg == "--bind" && I + 1 != Argc)
-      Bind = Argv[++I];
-    else if (Arg == "--config" && I + 1 != Argc)
-      ConfigFile = Argv[++I];
-    else if (Arg == "--store" && I + 1 != Argc)
-      StoreOverride = Argv[++I];
-    else if (Arg == "--shards" && NextValue(Value) && Value >= 1)
-      ShardsOverride = static_cast<unsigned>(Value);
-    else if (Arg == "--workers" && NextValue(Value) && Value >= 1)
-      WorkersOverride = static_cast<unsigned>(Value);
-    else if (Arg == "--isolation" && I + 1 != Argc &&
-             (std::string(Argv[I + 1]) == "inproc" ||
-              std::string(Argv[I + 1]) == "process"))
-      IsolationOverride = Argv[++I];
-    else if (Arg == "--print-config")
-      PrintConfig = true;
-    else
+  mvec::FlagReader F(Argc, Argv);
+  std::string Value;
+  auto overrideKey = [&](const char *Flag, const char *Key) {
+    if (!F.read(Flag, Value))
+      return false;
+    Overrides += std::string(Key) + " = " + Value + "\n";
+    return true;
+  };
+  while (F.next()) {
+    if (F.read("--port", Port) || F.read("--bind", Bind) ||
+        F.read("--config", ConfigFile) || overrideKey("--shards", "shards") ||
+        overrideKey("--workers", "workers_per_shard") ||
+        overrideKey("--isolation", "isolation") ||
+        F.flag("--print-config", PrintConfig))
+      continue;
+    if (F.read("--store", Value)) {
+      if (!Value.empty()) // An empty --store keeps the file's store_dir.
+        Overrides += "store_dir = " + Value + "\n";
+    } else
       return usage(Argv[0]);
   }
 
   DaemonConfig Config;
-  if (!ConfigFile.empty()) {
-    std::string Error;
-    if (!loadDaemonConfigFile(ConfigFile, Config, Error)) {
-      std::fprintf(stderr, "mvecd: %s\n", Error.c_str());
-      return 2;
-    }
+  std::string Error;
+  if (!ConfigFile.empty() && !loadDaemonConfigFile(ConfigFile, Config, Error)) {
+    std::fprintf(stderr, "mvecd: %s\n", Error.c_str());
+    return 2;
   }
-  if (!StoreOverride.empty())
-    Config.StoreDir = StoreOverride;
-  if (ShardsOverride)
-    Config.Shards = ShardsOverride;
-  if (WorkersOverride)
-    Config.WorkersPerShard = WorkersOverride;
-  if (!IsolationOverride.empty())
-    Config.Isolation = IsolationOverride;
+  if (!parseDaemonConfig(Overrides, Config, Error)) {
+    std::fprintf(stderr, "mvecd: command-line override %s\n", Error.c_str());
+    return usage(Argv[0]);
+  }
 
   if (PrintConfig) {
     std::fputs(daemonConfigText(Config).c_str(), stdout);
