@@ -9,6 +9,7 @@
 #include "frontend/ASTUtils.h"
 #include "interp/Builtins.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace mvec;
@@ -341,7 +342,9 @@ void Interpreter::execAssign(const AssignStmt &S) {
   // Marks the slot defined even if the write then fails — same as the old
   // map-based store, whose operator[] created the [] entry up front.
   Value &Target = defineSlotRef(static_cast<unsigned>(Slot));
-  writeIndexed(Target, *Index, RHS);
+  if (!RHS.isScalar() ||
+      !writeScalarIndexed(Target, *Index, RHS.scalarValue()))
+    writeIndexed(Target, *Index, RHS);
   checkShapeCap(static_cast<unsigned>(Slot), S.loc());
 }
 
@@ -460,8 +463,12 @@ Value Interpreter::evalImpl(const Expr &E) {
     }
     return Value();
   }
-  case Expr::Kind::Binary:
+  case Expr::Kind::Binary: {
+    double D;
+    if (evalScalarAt(E, 0, D))
+      return Value::scalar(D);
     return evalBinary(cast<BinaryExpr>(E));
+  }
   case Expr::Kind::Transpose: {
     Value Tmp;
     const Value &Operand = evalOperand(*cast<TransposeExpr>(E).operand(), Tmp);
@@ -477,6 +484,124 @@ Value Interpreter::evalImpl(const Expr &E) {
     return evalMatrixLiteral(cast<MatrixExpr>(E));
   }
   return Value();
+}
+
+/// The node kinds evalScalarAt can admit. Checking a child's kind first
+/// lets an attempt on vectorized code (ranges, transposes, ':') fail
+/// before it probes the node cache for a sibling.
+static bool isScalarKind(const Expr &E) {
+  switch (E.kind()) {
+  case Expr::Kind::Number:
+  case Expr::Kind::Ident:
+  case Expr::Kind::Index:
+  case Expr::Kind::Binary:
+    return true;
+  default:
+    return false;
+  }
+}
+
+bool Interpreter::evalScalarAt(const Expr &E, unsigned Depth, double &Out) {
+  // Conservative against eval()'s guard: every node below gives up at or
+  // before the level where the general path would report the depth error.
+  if (Depth >= MaxScalarDepth || EvalDepth + Depth >= MaxEvalDepth)
+    return false;
+  switch (E.kind()) {
+  case Expr::Kind::Number:
+    Out = cast<NumberExpr>(E).value();
+    return true;
+  case Expr::Kind::Ident: {
+    // Same resolution as evalImpl; an undefined name (pi, a builtin, an
+    // error) is left to it.
+    const Value *V;
+    if (const NodeInfo *Info = cachedInfo(&E)) {
+      if (Info->Slot < 0 || !Env.isDefined(Info->Slot))
+        return false;
+      V = &Env.slotValue(Info->Slot);
+    } else if (!(V = Env.get(cast<IdentExpr>(E).name()))) {
+      return false;
+    }
+    if (!V->isScalar() || V->isLogical())
+      return false;
+    Out = V->scalarValue();
+    return true;
+  }
+  case Expr::Kind::Index: {
+    const auto &Index = cast<IndexExpr>(E);
+    unsigned N = Index.numArgs();
+    if (N == 0 || N > 2 || !isScalarKind(*Index.arg(0)) ||
+        (N == 2 && !isScalarKind(*Index.arg(1))))
+      return false;
+    int Slot;
+    if (const NodeInfo *Info = cachedInfo(&Index))
+      Slot = Info->Slot;
+    else
+      Slot = Env.lookup(Index.baseName());
+    if (Slot < 0 || !Env.isDefined(Slot))
+      return false;
+    return readScalarIndexed(Env.slotValue(Slot), Index, Depth, Out);
+  }
+  case Expr::Kind::Binary: {
+    const auto &B = cast<BinaryExpr>(E);
+    BinaryOp Op = B.op();
+    if (Op != BinaryOp::Add && Op != BinaryOp::Sub && Op != BinaryOp::Mul &&
+        Op != BinaryOp::DotMul && Op != BinaryOp::Div &&
+        Op != BinaryOp::DotDiv)
+      return false;
+    double L, R;
+    if (!isScalarKind(*B.lhs()) || !isScalarKind(*B.rhs()) ||
+        !evalScalarAt(*B.lhs(), Depth + 1, L) ||
+        !evalScalarAt(*B.rhs(), Depth + 1, R))
+      return false;
+    // applyBinary's scalar cases; a fused (A*B)+C rounds the product
+    // first too, so nesting gives the same bits.
+    switch (Op) {
+    case BinaryOp::Add:
+      Out = L + R;
+      break;
+    case BinaryOp::Sub:
+      Out = L - R;
+      break;
+    case BinaryOp::Mul:
+    case BinaryOp::DotMul:
+      Out = L * R;
+      break;
+    default:
+      Out = L / R;
+      break;
+    }
+    return true;
+  }
+  default:
+    return false;
+  }
+}
+
+bool Interpreter::scalarSubscriptArg(const Expr &Arg, unsigned Depth,
+                                     size_t Limit, size_t &Out) {
+  double D;
+  return evalScalarAt(Arg, Depth, D) && scalarSubscript(D, Limit, Out);
+}
+
+bool Interpreter::readScalarIndexed(const Value &Base, const IndexExpr &E,
+                                    unsigned Depth, double &Out) {
+  // A logical base yields a logical element, which has no double form.
+  if (Base.isLogical())
+    return false;
+  size_t I, J;
+  if (E.numArgs() == 1) {
+    if (!scalarSubscriptArg(*E.arg(0), Depth + 1, Base.numel(), I))
+      return false;
+    Out = Base.raw()[I - 1];
+    return true;
+  }
+  // A(i,:) is common in vectorized code: reject it before evaluating i.
+  if (E.numArgs() != 2 || isa<MagicColonExpr>(E.arg(1)) ||
+      !scalarSubscriptArg(*E.arg(0), Depth + 1, Base.rows(), I) ||
+      !scalarSubscriptArg(*E.arg(1), Depth + 1, Base.cols(), J))
+    return false;
+  Out = Base.raw()[(J - 1) * Base.rows() + (I - 1)];
+  return true;
 }
 
 const Value &Interpreter::evalOperand(const Expr &E, Value &Storage) {
@@ -989,6 +1114,43 @@ void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
     }
 }
 
+bool Interpreter::indexWriteScalar(Value &Target, size_t I, double V) {
+  if (I > Target.numel()) {
+    // indexWrite1's growth for a scalar subscript: empties and rows widen
+    // as rows, columns lengthen, a matrix cannot grow.
+    if ((Target.rows() == 0 && Target.cols() <= 1) || Target.rows() == 1)
+      Target.growTo(1, I);
+    else if (Target.cols() == 1)
+      Target.growTo(I, 1);
+    else
+      return false;
+  }
+  Target.mutableRaw()[I - 1] = V;
+  return true;
+}
+
+void Interpreter::indexWriteScalar(Value &Target, size_t R, size_t C,
+                                   double V) {
+  if (R > Target.rows() || C > Target.cols())
+    Target.growTo(std::max(R, Target.rows()), std::max(C, Target.cols()));
+  Target.mutableRaw()[(C - 1) * Target.rows() + (R - 1)] = V;
+}
+
+bool Interpreter::writeScalarIndexed(Value &Target, const IndexExpr &LHS,
+                                     double V) {
+  const size_t Limit = MaxScalarWriteSubscript;
+  size_t I, J;
+  if (LHS.numArgs() == 1)
+    return scalarSubscriptArg(*LHS.arg(0), 0, Limit, I) &&
+           indexWriteScalar(Target, I, V);
+  if (LHS.numArgs() != 2 || isa<MagicColonExpr>(LHS.arg(1)) ||
+      !scalarSubscriptArg(*LHS.arg(0), 0, Limit, I) ||
+      !scalarSubscriptArg(*LHS.arg(1), 0, Limit, J))
+    return false;
+  indexWriteScalar(Target, I, J, V);
+  return true;
+}
+
 void Interpreter::writeIndexed(Value &Target, const IndexExpr &LHS,
                                const Value &RHS) {
   if (LHS.numArgs() == 0) {
@@ -1039,8 +1201,15 @@ Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
     Slot = Env.lookup(Name);
     Builtin = builtinIdFor(Name);
   }
-  if (Slot >= 0 && Env.isDefined(Slot))
-    return readIndexed(Env.slotValue(Slot), E);
+  if (Slot >= 0 && Env.isDefined(Slot)) {
+    // The scalar attempt reuses the slot resolved above: on vectorized
+    // code a failed attempt costs no second node-cache probe.
+    const Value &Base = Env.slotValue(Slot);
+    double D;
+    if (readScalarIndexed(Base, E, 0, D))
+      return Value::scalar(D);
+    return readIndexed(Base, E);
+  }
   if (Builtin != InvalidBuiltinId) {
     if (ArgDepth == ArgPool.size())
       ArgPool.emplace_back();

@@ -57,6 +57,20 @@ public:
   /// the evaluator limit is a runtime error, not a stack overflow.
   Value eval(const Expr &E);
 
+  /// Evaluates a side-effect-free scalar subtree straight to a double.
+  /// Admits number literals, defined non-logical 1x1 variables, 1- and
+  /// 2-subscript reads of a defined non-logical variable with in-bounds
+  /// integral scalar subscripts, and + - * / .* ./ over those. Anything
+  /// else (builtin calls, 'end', ':', logical values, pow, comparisons,
+  /// unary ops, non-scalar operands, bad subscripts, a subtree that would
+  /// reach the evaluator depth limit or is deeper than MaxScalarDepth)
+  /// returns false having done nothing: eval() of the same node then
+  /// produces the value, or the exact error. On success eval(E) would
+  /// have returned Value::scalar(Out).
+  bool evalScalar(const Expr &E, double &Out) {
+    return !Failed && evalScalarAt(E, 0, Out);
+  }
+
   // Workspace access.
   void setVariable(const std::string &Name, Value V) {
     Env.set(Name, std::move(V));
@@ -247,6 +261,34 @@ public:
   void indexWrite2(Value &Target, const Value &RowIdx, const Value &ColIdx,
                    const Value &RHS, SourceLoc Loc);
 
+  // Scalar-subscript fast paths shared by the walker and the VM. A
+  // subscript takes them only as a plain integral scalar within bounds;
+  // masks, 0, fractions, NaN/Inf and out-of-range values go through the
+  // indexing cores above, which own every error message.
+
+  /// Largest subscript a scalar write may grow a value to (2^53: beyond
+  /// it doubles stop being exact integers).
+  static constexpr size_t MaxScalarWriteSubscript = size_t(1) << 53;
+  /// True when \p D is an integral subscript in [1, \p Limit] (reads pass
+  /// the dimension's extent, writes MaxScalarWriteSubscript); \p Out is
+  /// then its 1-based value. NaN and Inf fail both comparisons.
+  static bool scalarSubscript(double D, size_t Limit, size_t &Out) {
+    if (!(D >= 1.0 && D <= static_cast<double>(Limit)))
+      return false;
+    auto I = static_cast<size_t>(D);
+    if (static_cast<double>(I) != D)
+      return false;
+    Out = I;
+    return true;
+  }
+  /// Target(I) = V for a 1-based subscript from scalarSubscript, growing
+  /// exactly as indexWrite1 does. Returns false, Target untouched, when a
+  /// matrix would have to grow: indexWrite1 reports that error.
+  static bool indexWriteScalar(Value &Target, size_t I, double V);
+  /// Target(R, C) = V for 1-based subscripts from scalarSubscript, growing
+  /// exactly as indexWrite2 does.
+  static void indexWriteScalar(Value &Target, size_t R, size_t C, double V);
+
 private:
   enum class Flow { Normal, Break, Continue, Return };
 
@@ -369,6 +411,21 @@ private:
   Value evalIndexOrCall(const IndexExpr &E);
   Value evalMatrixLiteral(const MatrixExpr &E);
 
+  /// evalScalar() for a node \p Depth levels below the attempt's root.
+  bool evalScalarAt(const Expr &E, unsigned Depth, double &Out);
+  /// scalarSubscript of \p Arg evaluated by evalScalarAt.
+  bool scalarSubscriptArg(const Expr &Arg, unsigned Depth, size_t Limit,
+                          size_t &Out);
+  /// The element \p E (\p Depth levels down) selects from the defined
+  /// variable \p Base when its one or two subscripts pass
+  /// scalarSubscriptArg.
+  bool readScalarIndexed(const Value &Base, const IndexExpr &E, unsigned Depth,
+                         double &Out);
+  /// \p LHS = V through indexWriteScalar when the subscripts pass
+  /// scalarSubscriptArg; false (nothing written) otherwise. Runs only
+  /// outside any failure, like the statement that calls it.
+  bool writeScalarIndexed(Value &Target, const IndexExpr &LHS, double V);
+
   /// Evaluates subscript argument \p Arg for a dimension of extent
   /// \p Extent ('end' resolves to Extent; ':' yields 1..Extent).
   Value evalSubscript(const Expr &Arg, size_t Extent);
@@ -428,6 +485,10 @@ private:
   /// eval() recursion ceiling; the parser caps parse trees far below this.
   static constexpr unsigned MaxEvalDepth = 2000;
   unsigned EvalDepth = 0;
+  /// evalScalar() gives up below this many levels. After a failed attempt
+  /// the general path makes a fresh one at every Binary and Index below,
+  /// so the cap keeps a deep mixed tree linear rather than quadratic.
+  static constexpr unsigned MaxScalarDepth = 32;
   /// The thread's fault-injection context, sampled once per run() so the
   /// per-statement gate is a cached member null check, not a TLS load.
   FaultContext *FaultCtx = nullptr;

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace mvec;
 
@@ -77,7 +78,10 @@ mvec::loadCostModel(const std::string &ProfilePath,
 const char *FlagReader::value(const char *Name) {
   if (!is(Name))
     return nullptr;
-  if (I + 1 == Argc) {
+  // A following `--flag` is the next option, not this one's value: taken
+  // verbatim, `mvecd --store --print-config` would start a daemon on a
+  // store directory named "--print-config".
+  if (I + 1 == Argc || std::strncmp(Argv[I + 1], "--", 2) == 0) {
     std::fprintf(stderr, "error: %s requires a value\n", Name);
     std::exit(2);
   }

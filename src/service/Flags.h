@@ -57,7 +57,8 @@ std::unique_ptr<cost::CostModel> loadCostModel(const std::string &ProfilePath,
 /// Walks argv in the idiom of simd::handleSimdFlag: each reader returns
 /// false when the current argument is not its flag, and otherwise
 /// consumes `FLAG VALUE`. A missing, malformed or out-of-range VALUE
-/// prints a diagnostic and exits 2, the tools' usage-error status.
+/// (another `--flag` in its place counts as missing) prints a diagnostic
+/// and exits 2, the tools' usage-error status.
 class FlagReader {
 public:
   FlagReader(int Argc, char **Argv) : Argc(Argc), Argv(Argv) {}
@@ -109,7 +110,8 @@ public:
 
 private:
   /// The value after \p Name, or null when the current argument is not
-  /// \p Name.
+  /// \p Name. A missing value, or a next argument starting with `--`,
+  /// exits 2.
   const char *value(const char *Name);
   /// Exits 2 with a diagnostic unless \p Ok.
   void require(bool Ok, const char *Name, const char *Value,

@@ -46,9 +46,6 @@
 #include "interp/MatrixOps.h"
 #include "interp/Workspace.h"
 
-#include <algorithm>
-#include <cmath>
-
 using namespace mvec;
 using namespace mvec::vm;
 
@@ -707,12 +704,12 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
                                 ? Env.slotValue(Bound[In->B].Slot)
                                 : box(In->B);
         double D;
-        if (!Base.isLogical() && srcScaPlain(In->C, D) && std::isfinite(D) &&
-            D >= 1.0 && D == std::floor(D) &&
-            D <= static_cast<double>(Base.numel())) {
+        size_t I;
+        if (!Base.isLogical() && srcScaPlain(In->C, D) &&
+            Interpreter::scalarSubscript(D, Base.numel(), I)) {
           // In-bounds plain scalar subscript of a plain base: indexRead1
           // would build a fresh plain 1x1 holding the selected element.
-          double V = Base.linear(static_cast<size_t>(D) - 1);
+          double V = Base.linear(I - 1);
           clearSrc(In->C);
           setSca(In->A, V);
           VM_NEXT_NOFAIL();
@@ -729,14 +726,12 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
                                 ? Env.slotValue(Bound[In->B].Slot)
                                 : box(In->B);
         double RD, CD;
+        size_t R, C;
         if (!Base.isLogical() && srcScaPlain(In->C, RD) &&
-            srcScaPlain(In->D, CD) && std::isfinite(RD) && RD >= 1.0 &&
-            RD == std::floor(RD) &&
-            RD <= static_cast<double>(Base.rows()) && std::isfinite(CD) &&
-            CD >= 1.0 && CD == std::floor(CD) &&
-            CD <= static_cast<double>(Base.cols())) {
-          double V = Base.at(static_cast<size_t>(RD) - 1,
-                             static_cast<size_t>(CD) - 1);
+            srcScaPlain(In->D, CD) &&
+            Interpreter::scalarSubscript(RD, Base.rows(), R) &&
+            Interpreter::scalarSubscript(CD, Base.cols(), C)) {
+          double V = Base.at(R - 1, C - 1);
           clearSrc(In->C);
           clearSrc(In->D);
           setSca(In->A, V);
@@ -772,30 +767,16 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(IndexWrite1) : {
         unsigned Slot = Bound[In->A].Slot;
         double D, RV;
-        if (srcScaPlain(In->B, D) && srcSca(In->C, RV) && std::isfinite(D) &&
-            D >= 1.0 && D == std::floor(D) && D <= 9.007199254740992e15) {
-          // Plain integral scalar subscript, scalar RHS: replicate
-          // indexWrite1's scalar-index behavior — growth rules included
-          // — without the index-vector machinery. The RHS double was
-          // read above, before any mutation, which is also what the
-          // walker's pre-evaluated RHS temporary guarantees.
-          Value &Target = Env.slotValue(Slot);
-          auto I = static_cast<size_t>(D);
-          if (I > Target.numel()) {
-            if ((Target.rows() == 0 && Target.cols() <= 1) ||
-                Target.rows() == 1) {
-              Target.growTo(1, I); // empties and rows widen as rows
-            } else if (Target.cols() == 1) {
-              Target.growTo(I, 1);
-            } else {
-              Host.fail(In->Loc,
-                        "linear indexed assignment cannot grow a matrix");
-              clearSrc(In->B);
-              clearSrc(In->C);
-              VM_NEXT();
-            }
-          }
-          Target.mutableRaw()[I - 1] = RV;
+        size_t I;
+        if (srcScaPlain(In->B, D) && srcSca(In->C, RV) &&
+            Interpreter::scalarSubscript(
+                D, Interpreter::MaxScalarWriteSubscript, I) &&
+            Interpreter::indexWriteScalar(Env.slotValue(Slot), I, RV)) {
+          // Plain integral scalar subscript, scalar RHS: the walker's
+          // scalar write, growth rules included. The RHS double was read
+          // above, before any mutation, which is also what the walker's
+          // pre-evaluated RHS temporary guarantees. A matrix that would
+          // have to grow takes the generic path, which reports it.
           clearSrc(In->B);
           clearSrc(In->C);
           Host.checkShapeCap(Slot, In->Loc2);
@@ -814,17 +795,14 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(IndexWrite2) : {
         unsigned Slot = Bound[In->A].Slot;
         double RD, CD, RV;
+        size_t R, C;
         if (srcScaPlain(In->B, RD) && srcScaPlain(In->C, CD) &&
-            srcSca(In->D, RV) && std::isfinite(RD) && RD >= 1.0 &&
-            RD == std::floor(RD) && RD <= 9.007199254740992e15 &&
-            std::isfinite(CD) && CD >= 1.0 && CD == std::floor(CD) &&
-            CD <= 9.007199254740992e15) {
-          Value &Target = Env.slotValue(Slot);
-          auto R = static_cast<size_t>(RD), C = static_cast<size_t>(CD);
-          if (R > Target.rows() || C > Target.cols())
-            Target.growTo(std::max(R, Target.rows()),
-                          std::max(C, Target.cols()));
-          Target.mutableRaw()[(C - 1) * Target.rows() + (R - 1)] = RV;
+            srcSca(In->D, RV) &&
+            Interpreter::scalarSubscript(
+                RD, Interpreter::MaxScalarWriteSubscript, R) &&
+            Interpreter::scalarSubscript(
+                CD, Interpreter::MaxScalarWriteSubscript, C)) {
+          Interpreter::indexWriteScalar(Env.slotValue(Slot), R, C, RV);
           clearSrc(In->B);
           clearSrc(In->C);
           clearSrc(In->D);

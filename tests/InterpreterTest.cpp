@@ -548,4 +548,271 @@ TEST(LogicalTest, MaskSizeMismatchOnWriteFails) {
   EXPECT_NE(Msg.find("mismatch"), std::string::npos);
 }
 
+//===----------------------------------------------------------------------===//
+// Scalar fast path (evalScalar and the scalar subscript primitives). Each
+// case pins what the general path produces — value, shape, logical flag,
+// error text and location (an index error sits at its '(') — at an edge
+// of the admission set, so the fast path can never diverge from it
+// unnoticed.
+//===----------------------------------------------------------------------===//
+
+/// "message @line:col" of a script's runtime error.
+std::string errorAt(const std::string &Source) {
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab(Source, Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  Interpreter Interp;
+  EXPECT_FALSE(Interp.run(R.Prog)) << Source;
+  return Interp.errorMessage() + " @" + std::to_string(Interp.errorLoc().Line) +
+         ":" + std::to_string(Interp.errorLoc().Col);
+}
+
+void expectShape(const Interpreter &I, const std::string &Name, size_t Rows,
+                 size_t Cols) {
+  const Value *V = I.getVariable(Name);
+  ASSERT_NE(V, nullptr) << Name;
+  EXPECT_EQ(V->rows(), Rows) << Name;
+  EXPECT_EQ(V->cols(), Cols) << Name;
+}
+
+TEST(ScalarFastPathTest, LogicalScalarSubscriptSelectsByMask) {
+  Interpreter I = runOk("v = [10 20 30];\nA = [1 2; 3 4];\n"
+                        "t = 1 > 0; f = 0 > 1;\n"
+                        "a = v(t);\nb = v(f);\nc = A(f, 1);\nd = A(t, 2);\n"
+                        "e = v(t) + 1;\n");
+  EXPECT_DOUBLE_EQ(scalarVar(I, "a"), 10);
+  expectShape(I, "b", 1, 0); // a false mask on a row selects nothing
+  expectShape(I, "c", 0, 1);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "d"), 2);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "e"), 11);
+  // A logical scalar subscript in a write masks as well.
+  Interpreter W = runOk("w = [1 2 3];\nw(0 > 1) = 9;\nm = 1 > 0;\nw(m) = 7;");
+  const Value *V = W.getVariable("w");
+  ASSERT_EQ(V->numel(), 3u);
+  EXPECT_DOUBLE_EQ(V->linear(0), 7);
+  EXPECT_DOUBLE_EQ(V->linear(1), 2);
+}
+
+TEST(ScalarFastPathTest, LogicalBaseStaysLogical) {
+  Interpreter I = runOk("b = [1 2 3] > 1;\nB = [1 2; 3 4] > 2;\n"
+                        "x = b(2);\ny = B(2, 1);\nz = b(2) + 1;\n"
+                        "w = zeros(1, 2);\nw(1) = b(3);\n");
+  EXPECT_TRUE(I.getVariable("x")->isLogical());
+  EXPECT_DOUBLE_EQ(scalarVar(I, "x"), 1);
+  EXPECT_TRUE(I.getVariable("y")->isLogical());
+  EXPECT_FALSE(I.getVariable("z")->isLogical());
+  EXPECT_DOUBLE_EQ(scalarVar(I, "z"), 2);
+  EXPECT_FALSE(I.getVariable("w")->isLogical());
+  EXPECT_DOUBLE_EQ(I.getVariable("w")->linear(0), 1);
+}
+
+TEST(ScalarFastPathTest, BadSubscriptsReportExactErrors) {
+  const std::string Setup = "v = [1 2 3];\nA = [1 2; 3 4];\n";
+  const std::string Positive = "subscript indices must be positive integers";
+  EXPECT_EQ(errorAt(Setup + "x = v(0) + 1;"), Positive + " @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = 1 + v(1.5);"), Positive + " @3:10");
+  EXPECT_EQ(errorAt(Setup + "x = v(0 - 1);"), Positive + " @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = v(0 / 0);"), Positive + " @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = v(1 / 0);"), Positive + " @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = A(1, 0 / 0) * 2;"), Positive + " @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = v(4);"),
+            "index 4 exceeds matrix dimension (3) @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = 2 * A(3, 1);"),
+            "index 3 exceeds matrix dimension (2) @3:10");
+  EXPECT_EQ(errorAt(Setup + "x = A(1, 2 + 1);"),
+            "index 3 exceeds matrix dimension (2) @3:6");
+  EXPECT_EQ(errorAt(Setup + "x = v(A(2, 2));"),
+            "index 4 exceeds matrix dimension (3) @3:6");
+  // The same subscripts on the write side.
+  EXPECT_EQ(errorAt(Setup + "v(0) = 1;"), Positive + " @3:2");
+  EXPECT_EQ(errorAt(Setup + "v(1.5) = 1;"), Positive + " @3:2");
+  EXPECT_EQ(errorAt(Setup + "v(0 / 0) = 1;"), Positive + " @3:2");
+  EXPECT_EQ(errorAt(Setup + "A(1 / 0, 1) = 1;"), Positive + " @3:2");
+  EXPECT_EQ(errorAt(Setup + "A(-1, 1) = 1;"), Positive + " @3:2");
+}
+
+TEST(ScalarFastPathTest, WriteGrowthMatchesIndexWrite) {
+  Interpreter I = runOk("e = [];\ne(3) = 1;\n"
+                        "z = zeros(0, 1);\nz(3) = 1;\n"
+                        "r = [1 2];\nr(4) = 5;\n"
+                        "c = [1; 2];\nc(4) = 5;\n"
+                        "s = 7;\ns(3) = 1;\n"
+                        "g = [];\ng(2, 3) = 4;\n"
+                        "h = [1 2];\nh(3, 1) = 6;\n"
+                        "k = [1 2; 3 4];\nk(2, 2) = 8;\n");
+  expectShape(I, "e", 1, 3);
+  expectShape(I, "z", 1, 3);
+  expectShape(I, "r", 1, 4);
+  EXPECT_DOUBLE_EQ(I.getVariable("r")->linear(3), 5);
+  EXPECT_DOUBLE_EQ(I.getVariable("r")->linear(2), 0);
+  expectShape(I, "c", 4, 1);
+  expectShape(I, "s", 1, 3);
+  EXPECT_DOUBLE_EQ(I.getVariable("s")->linear(0), 7);
+  expectShape(I, "g", 2, 3);
+  EXPECT_DOUBLE_EQ(I.getVariable("g")->at(1, 2), 4);
+  expectShape(I, "h", 3, 2);
+  EXPECT_DOUBLE_EQ(I.getVariable("h")->at(0, 1), 2);
+  EXPECT_DOUBLE_EQ(I.getVariable("h")->at(2, 0), 6);
+  EXPECT_DOUBLE_EQ(I.getVariable("k")->at(1, 1), 8);
+  EXPECT_EQ(errorAt("M = ones(2);\nM(7) = 1;"),
+            "linear indexed assignment cannot grow a matrix @2:2");
+  EXPECT_EQ(errorAt("M = zeros(2, 0);\nM(1) = 1;"),
+            "linear indexed assignment cannot grow a matrix @2:2");
+}
+
+TEST(ScalarFastPathTest, EndInsideSubscripts) {
+  Interpreter I = runOk("v = [4 5 6];\nA = [1 2; 3 4];\n"
+                        "a = v(end);\nb = v(end - 1) * 2;\nc = A(end, 1);\n"
+                        "d = A(1, end) + v(end);\nv(end + 1) = 7;\n"
+                        "A(end, end) = 9;\ne = v(v(1) - 3);\n");
+  EXPECT_DOUBLE_EQ(scalarVar(I, "a"), 6);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "b"), 10);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "c"), 3);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "d"), 8);
+  expectShape(I, "v", 1, 4);
+  EXPECT_DOUBLE_EQ(I.getVariable("v")->linear(3), 7);
+  EXPECT_DOUBLE_EQ(I.getVariable("A")->at(1, 1), 9);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "e"), 4);
+  EXPECT_EQ(errorAt("v = [1 2];\nx = v(end + 1);"),
+            "index 3 exceeds matrix dimension (2) @2:6");
+}
+
+TEST(ScalarFastPathTest, VariableShadowsBuiltin) {
+  Interpreter V = runOk("max = [4 9 2];\nsum = 5;\npi = 3;\n"
+                        "a = max(2) * 2;\nb = sum + 1;\nc = pi * 2;\n");
+  EXPECT_DOUBLE_EQ(scalarVar(V, "a"), 18);
+  EXPECT_DOUBLE_EQ(scalarVar(V, "b"), 6);
+  EXPECT_DOUBLE_EQ(scalarVar(V, "c"), 6);
+  Interpreter B = runOk("a = max(2, 3) * 2;\nb = sum([1 2 3]) + 1;\n"
+                        "c = pi * 2;\n");
+  EXPECT_DOUBLE_EQ(scalarVar(B, "a"), 6);
+  EXPECT_DOUBLE_EQ(scalarVar(B, "b"), 7);
+  EXPECT_DOUBLE_EQ(scalarVar(B, "c"), 2 * 3.14159265358979323846);
+}
+
+TEST(ScalarFastPathTest, UndefinedVariable) {
+  EXPECT_EQ(errorAt("x = 1;\ny = x + q * 2;"), "undefined variable 'q' @2:9");
+  EXPECT_EQ(errorAt("x = 1;\ny = x + q(1);"),
+            "undefined function or variable 'q' @2:10");
+  EXPECT_EQ(errorAt("v = [1 2];\nv(q) = 1;"), "undefined variable 'q' @2:3");
+}
+
+TEST(ScalarFastPathTest, RandOrderPreserved) {
+  auto Run = [](const std::string &Source) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    Interpreter I;
+    I.seedRandom(7);
+    EXPECT_TRUE(I.run(R.Prog)) << I.errorMessage();
+    return I;
+  };
+  Interpreter A = Run("v = [1 2 3];\nx = v(2) + rand() * 2 - rand() / 3;\n"
+                      "y = rand();\n");
+  Interpreter B = Run("v = [1 2 3];\nr1 = rand();\nr2 = rand();\n"
+                      "x = v(2) + r1 * 2 - r2 / 3;\ny = rand();\n");
+  EXPECT_EQ(scalarVar(A, "x"), scalarVar(B, "x"));
+  EXPECT_EQ(scalarVar(A, "y"), scalarVar(B, "y"));
+}
+
+/// A left-nested chain (((x + 1) + 1) ... + 1) of \p Levels additions;
+/// the addition at depth d sits on line d + 1, column 1, and its literal
+/// operand on line d + 1, column 2.
+ExprPtr deepSum(unsigned Levels) {
+  ExprPtr E = makeIdent("x");
+  for (unsigned D = Levels; D-- > 0;) {
+    auto One = std::make_unique<NumberExpr>(1.0, SourceLoc(D + 1, 2));
+    E = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(E),
+                                     std::move(One), SourceLoc(D + 1, 1));
+  }
+  return E;
+}
+
+TEST(ScalarFastPathTest, DepthLimitStillFires) {
+  // The evaluator charges a level per eval(): an addition at depth d and
+  // its literal operand at depth d + 1; a defined identifier operand is
+  // read without one. So 1999 levels fit, and 2000 fail on the deepest
+  // literal, and 2100 on the addition at depth 2000.
+  struct Case {
+    unsigned Levels;
+    bool Ok;
+    SourceLoc Loc;
+  } Cases[] = {{1999, true, SourceLoc()},
+               {2000, false, SourceLoc(2000, 2)},
+               {2001, false, SourceLoc(2001, 1)},
+               {2100, false, SourceLoc(2001, 1)}};
+  for (const Case &C : Cases) {
+    // Inside run(), where every node is resolved by the pre-pass.
+    Program P;
+    P.Stmts.push_back(std::make_unique<AssignStmt>(makeIdent("y"),
+                                                   deepSum(C.Levels)));
+    Interpreter I;
+    I.setVariable("x", Value::scalar(0.5));
+    EXPECT_EQ(I.run(P), C.Ok) << C.Levels;
+    if (C.Ok) {
+      EXPECT_DOUBLE_EQ(scalarVar(I, "y"), 0.5 + C.Levels);
+    } else {
+      EXPECT_EQ(I.errorMessage(),
+                "expression nesting exceeds the evaluator depth limit");
+      EXPECT_EQ(I.errorLoc(), C.Loc) << C.Levels;
+    }
+    // And through a standalone eval() of the same tree, whose unresolved
+    // identifier costs a level of its own: 2000 levels now fail on x.
+    Interpreter J;
+    J.setVariable("x", Value::scalar(0.5));
+    ExprPtr E = deepSum(C.Levels);
+    Value V = J.eval(*E);
+    EXPECT_EQ(J.failed(), !C.Ok) << C.Levels;
+    if (C.Levels > 2000) {
+      EXPECT_EQ(J.errorLoc(), C.Loc) << C.Levels;
+    }
+  }
+}
+
+TEST(ScalarFastPathTest, AdmissionSet) {
+  Interpreter I;
+  I.setVariable("x", Value::scalar(2));
+  I.setVariable("v", Value::vector({10, 20, 30}, /*Row=*/true));
+  Value B = Value::scalar(1);
+  B.setLogical(true);
+  I.setVariable("b", B);
+  Value A(2, 2);
+  A.at(0, 0) = 1;
+  A.at(1, 0) = 2;
+  A.at(0, 1) = 3;
+  A.at(1, 1) = 4;
+  I.setVariable("A", A);
+  auto Try = [&](const std::string &Text, double &Out) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab("y = " + Text + ";", Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Text;
+    const auto &S = *cast<AssignStmt>(R.Prog.Stmts[0].get());
+    bool Ok = I.evalScalar(*S.rhs(), Out);
+    // Whatever the answer, eval() agrees with it and nothing failed.
+    Value V = I.eval(*S.rhs());
+    if (Ok) {
+      EXPECT_TRUE(V.isScalar() && !V.isLogical()) << Text;
+      EXPECT_EQ(V.scalarValue(), Out) << Text;
+    }
+    I.clearError();
+    return Ok;
+  };
+  double D = 0;
+  EXPECT_TRUE(Try("3", D));
+  EXPECT_TRUE(Try("x * 2 + 1", D));
+  EXPECT_EQ(D, 5);
+  EXPECT_TRUE(Try("v(x) ./ 4 - A(2, 1) .* x", D));
+  EXPECT_EQ(D, 1);
+  EXPECT_TRUE(Try("1 / 0", D));
+  EXPECT_TRUE(std::isinf(D));
+  EXPECT_TRUE(Try("v(A(1, 1) + 1)", D));
+  EXPECT_EQ(D, 20);
+  for (const char *Rejected :
+       {"rand()", "pi", "b", "b + 1", "v", "v + 1", "x ^ 2", "x > 1", "-x",
+        "x'", "v(end)", "v(:)", "A(1, :)", "v(0)", "v(4)", "v(1.5)",
+        "v(0 / 0)", "v(b)", "A(3, 1)", "max(x, 1)", "undefinedname",
+        "[x]", "x && 1", "v(x, 1, 1)", "A()"})
+    EXPECT_FALSE(Try(Rejected, D)) << Rejected;
+}
+
 } // namespace

@@ -276,6 +276,61 @@ TEST(VMParity, Battery) {
       "for i = 1:3\n  i = i * 10;\nend\n",
       "x = mod(10, 3);\ny = rem(-10, 3);\n",
       "for i = 1:3\n  disp(i);\nend\n",
+      // Edges of the scalar fast paths: both engines take one for plain
+      // integral in-bounds subscripts (Interpreter::scalarSubscript /
+      // indexWriteScalar), the walker also for whole scalar subtrees
+      // (evalScalar); each case must agree with the general route.
+      // Logical scalar subscripts select by mask; a logical base stays
+      // logical.
+      "v = [10 20 30];\nt = 1 > 0;\nf = 0 > 1;\na = v(t);\nb = v(f);\n"
+      "A = [1 2; 3 4];\nc = A(f, 1);\nd = A(t, 2) + v(t);\n",
+      "w = [1 2 3];\nw(0 > 1) = 9;\nm = 1 > 0;\nw(m) = 7;\n",
+      "b = [1 2 3] > 1;\nx = b(2);\nB = [1 2; 3 4] > 2;\ny = B(2, 1);\n"
+      "z = b(2) + 1;\nw = zeros(1, 2);\nw(1) = b(3);\nw(2, 2) = x;\n",
+      // Subscripts of 0, 1.5, -1, NaN, Inf and out of bounds.
+      "v = [1 2 3];\nx = v(0) + 1;\n",
+      "v = [1 2 3];\nx = 1 + v(1.5);\n",
+      "v = [1 2 3];\nx = v(0 - 1);\n",
+      "v = [1 2 3];\nx = v(0 / 0);\n",
+      "v = [1 2 3];\nx = v(1 / 0);\n",
+      "A = [1 2; 3 4];\nx = A(1, 0 / 0) * 2;\n",
+      "v = [1 2 3];\nx = v(4);\n",
+      "A = [1 2; 3 4];\nx = 2 * A(3, 1);\n",
+      "A = [1 2; 3 4];\nv = [1 2 3];\nx = v(A(2, 2));\n",
+      "v = [1 2 3];\nv(0) = 1;\n",
+      "v = [1 2 3];\nv(1.5) = 1;\n",
+      "v = [1 2 3];\nv(0 / 0) = 1;\n",
+      "A = [1 2; 3 4];\nA(1 / 0, 1) = 1;\n",
+      "A = [1 2; 3 4];\nA(-1, 1) = 1;\n",
+      // Write growth on 0x0, 0x1, scalar, row, column and matrix targets.
+      "e = [];\ne(3) = 1;\nz = zeros(0, 1);\nz(3) = 1;\ns = 7;\ns(3) = 1;\n",
+      "r = [1 2];\nr(4) = 5;\nc = [1; 2];\nc(4) = 5;\n",
+      "g = [];\ng(2, 3) = 4;\nh = [1 2];\nh(3, 1) = 6;\nk = ones(2);\n"
+      "k(2, 2) = 8;\n",
+      "M = ones(2);\nM(7) = 1;\n",
+      "M = zeros(2, 0);\nM(1) = 1;\n",
+      "for i = 1:5\n  for j = 1:4\n    q(i, j) = i * 10 + j;\n  end\nend\n"
+      "for i = 1:20\n  u(i) = q(mod(i, 5) + 1, 2) - i;\nend\n",
+      // 'end' inside subscripts.
+      "v = [4 5 6];\nA = [1 2; 3 4];\na = v(end);\nb = v(end - 1) * 2;\n"
+      "c = A(end, 1);\nd = A(1, end) + v(end);\nv(end + 1) = 7;\n"
+      "A(end, end) = 9;\ne = v(v(1) - 3);\n",
+      "v = [1 2];\nx = v(end + 1);\n",
+      // A variable shadowing a builtin, and the builtin itself.
+      "max = [4 9 2];\nsum = 5;\npi = 3;\na = max(2) * 2;\nb = sum + 1;\n"
+      "c = pi * 2;\n",
+      "a = max(2, 3) * 2;\nb = sum([1 2 3]) + 1;\nc = pi * 2;\n",
+      // Undefined variables.
+      "x = 1;\ny = x + q * 2;\n",
+      "x = 1;\ny = x + q(1);\n",
+      "v = [1 2];\nv(q) = 1;\n",
+      // rand() keeps its call order inside scalar arithmetic.
+      "v = [1 2 3];\nx = v(2) + rand() * 2 - rand() / 3;\ny = rand();\n",
+      // The paper's scalar-indexed loop bodies.
+      "X = ones(4, 5);\nL = ones(4, 4) / 3;\nfor k = 1:5\n  for j = 1:3\n"
+      "    X(4, k) = X(4, k) - L(4, j) * X(j, k);\n  end\nend\n",
+      "heq = 2:2:20;\nim = mod(reshape(0:11, 3, 4), 9);\nfor i = 1:3\n"
+      "  for j = 1:4\n    im2(i, j) = heq(im(i, j) + 1);\n  end\nend\n",
   };
   for (const char *Source : Cases) {
     DiffOutcome Out = engineDiffRun(Source);
